@@ -40,7 +40,7 @@ func openTestStore(tb testing.TB) *querystore.Store {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := snapshot.WriteV3(f, c, snapshot.Options{CertsPerShard: 4, ASOf: testASOf}); err != nil {
+	if err := snapshot.StreamCorpus(f, c, snapshot.Options{CertsPerShard: 4, ASOf: testASOf}, snapshot.StreamWriterConfig{V3: true}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"securepki/cmd/debugsrv"
 	"securepki/internal/obs"
 	"securepki/internal/querystore"
 	"securepki/internal/snapshot"
@@ -88,7 +89,7 @@ func main() {
 		go sampler.RunTicker(stop)
 	}
 	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
+		bound, err := debugsrv.Start(*debugAddr, obs.Telemetry{
 			Cmd: "certquery", Reg: reg, Sampler: sampler, Journal: journal,
 			Start: time.Now(), Now: time.Now,
 		})

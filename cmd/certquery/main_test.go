@@ -108,7 +108,7 @@ func startServer(tb testing.TB, c *scanstore.Corpus) (string, *obs.Registry) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := snapshot.WriteV3(f, c, snapshot.Options{CertsPerShard: 32, ASOf: testASOf}); err != nil {
+	if err := snapshot.StreamCorpus(f, c, snapshot.Options{CertsPerShard: 32, ASOf: testASOf}, snapshot.StreamWriterConfig{V3: true}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

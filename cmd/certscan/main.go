@@ -51,6 +51,7 @@ import (
 	"strings"
 	"time"
 
+	"securepki/cmd/debugsrv"
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -71,8 +72,8 @@ func main() {
 		interval    = flag.Duration("interval", 2*time.Second, "pause between sweeps")
 		outCorpus   = flag.String("o", "", "accumulate sweeps into a corpus and write it as a snapshot (see -format)")
 		outFormat   = flag.String("format", "v2", "snapshot format for -o: v2 (sharded columnar) or v3 (adds point-lookup indexes for certquery)")
-		memBudget   = flag.Int64("mem-budget", 0, "encode -o through the streaming writer with this sort-memory bound in bytes (0 = one-shot in-memory encode); bytes identical either way")
-		spillDir    = flag.String("spill-dir", "", "directory for streaming-encode spill files (\"\" = OS temp dir); implies -mem-budget's streaming path")
+		memBudget   = flag.Int64("mem-budget", 0, "sort-memory bound in bytes for the -o encoder; overflow spills to disk (0 = 256 MiB); bytes identical at any setting")
+		spillDir    = flag.String("spill-dir", "", "directory for the -o encoder's spill files (\"\" = OS temp dir)")
 		jsonOut     = flag.Bool("json", false, "print a JSON run summary (retry/failure counters) to stdout")
 		metricsOut  = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut    = flag.String("trace-out", "", "append per-sweep span events as JSON lines")
@@ -136,7 +137,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
+		bound, err := debugsrv.Start(*debugAddr, obs.Telemetry{
 			Cmd: "certscan", Reg: reg, Sampler: sampler, Journal: journal,
 			Tracer: tracer, Start: time.Now(), Now: time.Now,
 		})
@@ -180,21 +181,14 @@ func main() {
 		}
 		// A live scan has no routing view, so the v3 AS index is empty;
 		// fingerprint/SPKI/IP lookups all work.
-		var err2 error
-		if *memBudget > 0 || *spillDir != "" {
-			err2 = snapshot.StreamCorpus(f, corpus, snapshot.Options{Obs: reg}, snapshot.StreamWriterConfig{
-				SpillDir:  *spillDir,
-				MemBudget: *memBudget,
-				V3:        *outFormat == "v3",
-			})
-		} else if *outFormat == "v3" {
-			err2 = snapshot.WriteV3(f, corpus, snapshot.Options{Obs: reg})
-		} else {
-			err2 = snapshot.Write(f, corpus, snapshot.Options{Obs: reg})
-		}
-		if err2 != nil {
+		err = snapshot.StreamCorpus(f, corpus, snapshot.Options{Obs: reg}, snapshot.StreamWriterConfig{
+			SpillDir:  *spillDir,
+			MemBudget: *memBudget,
+			V3:        *outFormat == "v3",
+		})
+		if err != nil {
 			f.Close()
-			fatal(err2)
+			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)

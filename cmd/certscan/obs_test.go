@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"securepki/cmd/debugsrv"
 	"securepki/internal/faultnet"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -141,7 +142,7 @@ func TestObsSmoke(t *testing.T) {
 	if summary.OK == 0 || corpus == nil {
 		t.Fatalf("smoke sweep grabbed nothing: %+v", summary)
 	}
-	if err := snapshot.Write(io.Discard, corpus, snapshot.Options{Obs: reg}); err != nil {
+	if err := snapshot.StreamCorpus(io.Discard, corpus, snapshot.Options{Obs: reg}, snapshot.StreamWriterConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tf.Close(); err != nil {
@@ -302,7 +303,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	tracer := obs.NewTracer(io.Discard, clock)
 	tracer.KeepTail(8)
 
-	addr, err := startDebug("127.0.0.1:0", obs.Telemetry{
+	addr, err := debugsrv.Start("127.0.0.1:0", obs.Telemetry{
 		Cmd: "certscan", Reg: reg, Sampler: sampler, Journal: journal,
 		Tracer: tracer, Start: clock(), Now: clock,
 	})
@@ -428,11 +429,11 @@ func TestTelemetrySmoke(t *testing.T) {
 }
 
 // TestDebugEndpointsReachable proves -debug-addr works mid-run: the Pause
-// hook between two sweeps fetches /debug/vars and /debug/pprof/ from the
-// live debug server and finds the published obs registry.
+// hook between two sweeps fetches /metrics and /debug/pprof/ from the live
+// debug server and finds the first sweep's counters.
 func TestDebugEndpointsReachable(t *testing.T) {
 	reg := obs.NewRegistry()
-	addr, err := startDebug("127.0.0.1:0", obs.Telemetry{Cmd: "certscan", Reg: reg})
+	addr, err := debugsrv.Start("127.0.0.1:0", obs.Telemetry{Cmd: "certscan", Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,12 +468,8 @@ func TestDebugEndpointsReachable(t *testing.T) {
 		Pause: func(time.Duration) {
 			// One sweep done, the next not started: the process is mid-run
 			// and the first sweep's counters must already be visible.
-			vars := fetch("/debug/vars")
-			if !strings.Contains(vars, `"obs"`) {
-				t.Errorf("/debug/vars does not publish the obs registry:\n%s", vars)
-			}
-			if !strings.Contains(vars, "wire.attempts") {
-				t.Errorf("/debug/vars obs registry missing live wire.attempts:\n%s", vars)
+			if metrics := fetch("/metrics"); !strings.Contains(metrics, "wire_attempts") {
+				t.Errorf("/metrics missing live wire.attempts:\n%s", metrics)
 			}
 			if !strings.Contains(fetch("/debug/pprof/"), "goroutine") {
 				t.Error("/debug/pprof/ index does not list profiles")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	scangen -o corpus.spki [-format v3|v2|v1] [-workers 0]
+//	scangen -o corpus.spki [-format v3|v2] [-workers 0]
 //	        [-devices 8600] [-sites 3700] [-seed 1] [-umich 30] [-rapid7 17]
 //	        [-chunk 8192] [-mem-budget 268435456] [-spill-dir /tmp]
 //	        [-metrics-out metrics.json]
@@ -16,16 +16,15 @@
 //
 // The default output is the v2 sharded columnar snapshot (internal/snapshot);
 // -format v3 appends the point-lookup index sections that cmd/certquery and
-// internal/querystore serve from, and -format v1 keeps the legacy gzip+gob
-// blob for older consumers. Every streaming reader in this repo sniffs the
-// format, so any of them loads everywhere.
+// internal/querystore serve from. Every streaming reader in this repo loads
+// both formats.
 //
 // -chunk streams the whole build — population, scans, snapshot encode — in
 // host chunks on bounded memory (core.StreamSnapshot): no resident world or
 // corpus ever exists, state beyond -mem-budget spills to -spill-dir, and the
 // output bytes are identical to the resident pipeline's at any chunk size.
 //
-// -upgrade skips generation: it loads an existing snapshot (any format) and
+// -upgrade skips generation: it loads an existing v2 or v3 snapshot and
 // rewrites it as -format. A loaded corpus carries no network view, so an
 // upgraded v3 file gets an empty AS index unless -prefix2as (and optionally
 // -asinfo) supply the RouteViews/CAIDA-style dumps a -dump-net run wrote —
@@ -40,15 +39,14 @@ import (
 	"securepki/internal/core"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
-	"securepki/internal/snapshot"
 )
 
 func main() {
 	var (
 		out        = flag.String("out", "corpus.spki", "output corpus file")
-		format     = flag.String("format", "v2", "snapshot format: v3 (columnar + point-lookup indexes), v2 (sharded columnar) or v1 (legacy gzip+gob)")
-		workers    = flag.Int("workers", 0, "encoder worker pool for -format v2/v3 (0 = GOMAXPROCS); bytes identical at any setting")
-		upgrade    = flag.String("upgrade", "", "re-encode this existing snapshot (any format) as -format instead of generating")
+		format     = flag.String("format", "v2", "snapshot format: v3 (columnar + point-lookup indexes) or v2 (sharded columnar)")
+		workers    = flag.Int("workers", 0, "decode worker pool for -upgrade (0 = GOMAXPROCS); the encoder is serial and output bytes never depend on it")
+		upgrade    = flag.String("upgrade", "", "re-encode this existing v2 or v3 snapshot as -format instead of generating")
 		prefix2as  = flag.String("prefix2as", "", "with -upgrade -format v3: RouteViews-style prefix dump to rebuild the AS index from")
 		asinfo     = flag.String("asinfo", "", "with -prefix2as: AS-info dump (asn|org|country|type lines)")
 		dumpNet    = flag.Bool("dump-net", false, "also write <out>.prefix2as and <out>.asinfo (RouteViews/CAIDA-style datasets)")
@@ -67,8 +65,8 @@ func main() {
 	)
 	flag.StringVar(out, "o", "corpus.spki", "shorthand for -out")
 	flag.Parse()
-	if *format != "v1" && *format != "v2" && *format != "v3" {
-		fmt.Fprintf(os.Stderr, "scangen: unknown -format %q (want v1, v2 or v3)\n", *format)
+	if *format != "v2" && *format != "v3" {
+		fmt.Fprintf(os.Stderr, "scangen: unknown -format %q (want v2 or v3)\n", *format)
 		os.Exit(2)
 	}
 	if *upgrade != "" {
@@ -111,10 +109,6 @@ func main() {
 	cfg.Workers = *workers
 
 	if *chunkSize > 0 {
-		if *format == "v1" {
-			fmt.Fprintln(os.Stderr, "scangen: -chunk streams the build and needs -format v2 or v3")
-			os.Exit(2)
-		}
 		if *dumpNet {
 			fmt.Fprintln(os.Stderr, "scangen: -dump-net needs the resident pipeline; drop -chunk")
 			os.Exit(2)
@@ -163,17 +157,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *format {
-	case "v1":
-		err = p.Corpus.Write(f)
-	case "v2":
-		err = snapshot.Write(f, p.Corpus, snapshot.Options{Workers: *workers, Obs: reg})
-	case "v3":
-		err = snapshot.WriteV3(f, p.Corpus, snapshot.Options{
-			Workers: *workers,
-			Obs:     reg,
-			ASOf:    snapshot.InternetASOf(p.World.Internet),
-		})
+	if *format == "v3" {
+		err = p.WriteSnapshotV3(f)
+	} else {
+		err = p.WriteSnapshot(f)
 	}
 	if err != nil {
 		f.Close()

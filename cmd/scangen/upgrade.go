@@ -10,8 +10,8 @@ import (
 	"securepki/internal/snapshot"
 )
 
-// upgradeSnapshot re-encodes an existing snapshot file (any format — the
-// reader sniffs) as the requested format. Round-tripping through the full
+// upgradeSnapshot re-encodes an existing v2 or v3 snapshot file as the
+// requested format. Round-tripping through the full
 // decode means the output inherits every integrity check the streaming
 // reader applies, and the rewrite is byte-deterministic at any worker count.
 func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, metricsOut string) error {
@@ -31,7 +31,7 @@ func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, met
 	fmt.Fprintf(os.Stderr, "read %s: %d certs, %d scans, %d observations\n",
 		in, c.NumCerts(), c.NumScans(), c.NumObservations())
 
-	opt := snapshot.Options{Workers: workers, Obs: reg}
+	opt := snapshot.Options{Obs: reg}
 	if prefix2as != "" {
 		inet, err := readNetView(prefix2as, asinfo)
 		if err != nil {
@@ -47,15 +47,7 @@ func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, met
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "v1":
-		err = c.Write(g)
-	case "v2":
-		err = snapshot.Write(g, c, opt)
-	case "v3":
-		err = snapshot.WriteV3(g, c, opt)
-	}
-	if err != nil {
+	if err := snapshot.StreamCorpus(g, c, opt, snapshot.StreamWriterConfig{V3: format == "v3"}); err != nil {
 		g.Close()
 		return err
 	}

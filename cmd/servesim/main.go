@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"securepki/cmd/debugsrv"
 	"securepki/internal/devicesim"
 	"securepki/internal/faultnet"
 	"securepki/internal/obs"
@@ -93,7 +94,7 @@ func main() {
 		go sampler.RunTicker(stop)
 	}
 	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
+		bound, err := debugsrv.Start(*debugAddr, obs.Telemetry{
 			Cmd: "servesim", Reg: reg, Sampler: sampler, Journal: journal,
 			Start: time.Now(), Now: time.Now,
 		})

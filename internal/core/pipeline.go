@@ -48,8 +48,9 @@ type Config struct {
 	// LintConfig scopes or suppresses registry linters in the lint stage
 	// (certlint.json semantics); nil runs every registered linter everywhere.
 	LintConfig *certlint.Config
-	// Stream sizes the streaming build path (StreamSnapshot); the in-memory
-	// pipeline ignores it.
+	// Stream sizes the streaming build path (StreamSnapshot) and the spill
+	// state of the resident pipeline's snapshot writes; a budget or spill
+	// directory also moves Validate's index onto the external-merge path.
 	Stream StreamConfig
 }
 
@@ -176,13 +177,23 @@ func (p *Pipeline) Scan() error {
 }
 
 // WriteSnapshot serialises the corpus in the v2 sharded columnar format
-// (internal/snapshot), encoding shards across Config.Workers. Output bytes
-// do not depend on the worker count.
+// (internal/snapshot) through the streaming encoder, which spills under
+// Config.Stream's budget and directory. Output bytes depend on neither.
 func (p *Pipeline) WriteSnapshot(w io.Writer) error {
 	if p.Corpus == nil {
 		return fmt.Errorf("core: WriteSnapshot before Scan or LoadSnapshot")
 	}
-	if err := snapshot.Write(w, p.Corpus, snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs}); err != nil {
+	return p.writeSnapshot(w, snapshot.Options{Obs: p.Config.Obs}, false)
+}
+
+// writeSnapshot encodes the resident corpus through snapshot.StreamCorpus.
+func (p *Pipeline) writeSnapshot(w io.Writer, opt snapshot.Options, v3 bool) error {
+	cfg := snapshot.StreamWriterConfig{
+		SpillDir:  p.Config.Stream.SpillDir,
+		MemBudget: p.Config.Stream.MemBudget,
+		V3:        v3,
+	}
+	if err := snapshot.StreamCorpus(w, p.Corpus, opt, cfg); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
@@ -197,18 +208,15 @@ func (p *Pipeline) WriteSnapshotV3(w io.Writer) error {
 	if p.Corpus == nil {
 		return fmt.Errorf("core: WriteSnapshotV3 before Scan or LoadSnapshot")
 	}
-	opt := snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs}
+	opt := snapshot.Options{Obs: p.Config.Obs}
 	if p.World != nil && p.World.Internet != nil {
 		opt.ASOf = snapshot.InternetASOf(p.World.Internet)
 	}
-	if err := snapshot.WriteV3(w, p.Corpus, opt); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
+	return p.writeSnapshot(w, opt, true)
 }
 
 // LoadSnapshot replaces the pipeline's scan stage with a corpus read from a
-// snapshot in any on-disk format (v1 gob, v2 columnar, v3 indexed), decoding across
+// snapshot in either on-disk format (v2 columnar, v3 indexed), decoding across
 // Config.Workers. Ground truth is not persisted, so p.Truth stays nil and
 // truth-based evaluations degrade to zeros; everything downstream of the
 // corpus (Validate, Link, Track) runs as usual.

@@ -25,10 +25,7 @@ func TestSnapshotLoadEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var v1, v2, v3 bytes.Buffer
-	if err := ref.Corpus.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
+	var v2, v3 bytes.Buffer
 	if err := ref.WriteSnapshot(&v2); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,6 @@ func TestSnapshotLoadEquivalence(t *testing.T) {
 		data    []byte
 		workers int
 	}{
-		{"v1", v1.Bytes(), 1},
 		{"v2-serial", v2.Bytes(), 1},
 		{"v2-parallel", v2.Bytes(), 4},
 		{"v3-serial", v3.Bytes(), 1},

@@ -98,7 +98,7 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	span.End()
 	readHeapHighWater(reg)
 
-	opt := snapshot.Options{Workers: cfg.Workers, Obs: cfg.Obs}
+	opt := snapshot.Options{Obs: cfg.Obs}
 	if v3 {
 		opt.ASOf = snapshot.InternetASOf(gen.World().Internet)
 	}

@@ -36,7 +36,7 @@ func qbenchSnapshot(tb testing.TB) (*scanstore.Corpus, []x509lite.Fingerprint, s
 			qbenchState.fps[i] = qbenchState.c.Cert(scanstore.CertID(i)).Cert.Fingerprint()
 		}
 		var buf bytes.Buffer
-		if err := snapshot.WriteV3(&buf, qbenchState.c, snapshot.Options{ASOf: testASOf}); err != nil {
+		if err := snapshot.StreamCorpus(&buf, qbenchState.c, snapshot.Options{ASOf: testASOf}, snapshot.StreamWriterConfig{V3: true}); err != nil {
 			tb.Fatal(err)
 		}
 		qbenchState.raw = buf.Bytes()

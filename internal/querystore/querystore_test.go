@@ -91,7 +91,7 @@ func writeV3File(tb testing.TB, c *scanstore.Corpus, opt snapshot.Options) strin
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := snapshot.WriteV3(f, c, opt); err != nil {
+	if err := snapshot.StreamCorpus(f, c, opt, snapshot.StreamWriterConfig{V3: true}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -311,7 +311,7 @@ func TestStoreCacheBounded(t *testing.T) {
 func TestOpenRejectsOldFormats(t *testing.T) {
 	c := testCorpus(t, 8, 1, 4)
 	var v2 bytes.Buffer
-	if err := snapshot.Write(&v2, c, snapshot.Options{}); err != nil {
+	if err := snapshot.StreamCorpus(&v2, c, snapshot.Options{}, snapshot.StreamWriterConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "corpus.v2")
@@ -331,7 +331,7 @@ func TestOpenRejectsOldFormats(t *testing.T) {
 func TestOpenReaderAt(t *testing.T) {
 	c := testCorpus(t, 64, 2, 8)
 	var buf bytes.Buffer
-	if err := snapshot.WriteV3(&buf, c, snapshot.Options{CertsPerShard: 16, ASOf: testASOf}); err != nil {
+	if err := snapshot.StreamCorpus(&buf, c, snapshot.Options{CertsPerShard: 16, ASOf: testASOf}, snapshot.StreamWriterConfig{V3: true}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})

@@ -3,8 +3,8 @@
 // certificates"), the series of scans from both operators, and the
 // per-scan (certificate, IP) observations. It also provides the derived
 // indexes the analyses need — per-certificate observation lists, lifetimes,
-// and per-scan IP sets — plus a gzip/gob serialisation so generated corpora
-// can be written by cmd/scangen and consumed by the analysis binaries.
+// and per-scan IP sets. On-disk snapshots of a corpus live in
+// internal/snapshot.
 package scanstore
 
 import (

@@ -2,11 +2,14 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
+
+	"securepki/internal/scanstore"
 )
 
 // validV2 returns encoded bytes for a small multi-shard corpus.
@@ -38,12 +41,9 @@ func patchHeader(tb testing.TB, snap []byte, modify func(fixed, table []byte)) [
 // unbounded allocation, never a silently wrong corpus.
 func TestReadCorrupt(t *testing.T) {
 	snap := validV2(t)
-	v1c := testCorpus(t, 6, 2, 8)
-	var v1buf bytes.Buffer
-	if err := v1c.Write(&v1buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := v1buf.Bytes()
+	// The retired v1 format was a gzip stream; its shapes are now unknown
+	// formats.
+	v1 := gzipBytes(t, []byte("a gzip stream, the shape of a retired v1 corpus"))
 
 	cases := []struct {
 		name    string
@@ -128,9 +128,9 @@ func TestReadCorrupt(t *testing.T) {
 			}),
 			"observations",
 		},
-		{"v1 truncated gzip", v1[:len(v1)-20], "v1"},
-		{"v1 header only", v1[:5], "v1"},
-		{"v1 garbage body", append(append([]byte(nil), v1[:10]...), []byte("not gob at all")...), "v1"},
+		{"v1 truncated gzip", v1[:len(v1)-20], "bad magic"},
+		{"v1 header only", v1[:5], "truncated header"},
+		{"v1 garbage body", append(append([]byte(nil), v1[:10]...), []byte("not gob at all")...), "bad magic"},
 	}
 
 	for _, tc := range cases {
@@ -152,7 +152,7 @@ func TestReadCorrupt(t *testing.T) {
 // forgery the shard checksum alone would bless if an attacker rewrote both.
 func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
 	c := testCorpus(t, 5, 1, 4)
-	raw := encodeCertShard(c.Certs()[:5])
+	raw := certShardBytes(c.Certs()[:5])
 	raw[len(raw)-1] ^= 0xff // last digest byte
 	if _, err := decodeCertShard(raw, 5, true); err == nil {
 		t.Fatal("forged digest column accepted with VerifyDigests")
@@ -221,10 +221,7 @@ func forgeObsOverflow(tb testing.TB, snap []byte) []byte {
 		}
 		raw = binary.AppendUvarint(raw, n)
 	}
-	comp, err := gzipShard(raw)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	comp := gzipBytes(tb, raw)
 	out := append([]byte(nil), snap[:off]...)
 	out = append(out, comp...)
 	binary.LittleEndian.PutUint64(out[last+16:], uint64(len(raw)))
@@ -249,6 +246,40 @@ func TestReadObsCountOverflowFile(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
+}
+
+// certShardBytes lays out an uncompressed cert shard payload: uvarint DER
+// lengths, concatenated DER bytes, 32-byte digests.
+func certShardBytes(recs []*scanstore.CertRecord) []byte {
+	var out []byte
+	for _, rec := range recs {
+		out = binary.AppendUvarint(out, uint64(len(rec.Cert.Raw)))
+	}
+	for _, rec := range recs {
+		out = append(out, rec.Cert.Raw...)
+	}
+	for _, rec := range recs {
+		fp := rec.Cert.Fingerprint()
+		out = append(out, fp[:]...)
+	}
+	return out
+}
+
+// gzipBytes compresses raw as one gzip stream at the shard compression level.
+func gzipBytes(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, shardCompression)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := zw.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func flipByte(b []byte, i int) []byte {

@@ -247,6 +247,34 @@ func TestReadV3IndexDisagreesWithPayloads(t *testing.T) {
 	}
 }
 
+// The IP postings are compared as they stream out of the rebuild, not as a
+// whole section: a forged sighting there must be caught the same way.
+func TestReadV3IPPostingsDisagreeWithPayloads(t *testing.T) {
+	snap := validV3(t)
+	certs := binary.LittleEndian.Uint64(snap[8:])
+	// Re-point the first single-sighting IP at another certificate:
+	// structurally valid (a one-entry group is trivially sorted), but wrong.
+	forged := patchV3Section(t, snap, 2, func(keys, post []byte) {
+		for k := 0; k < len(keys)/V3IPEntry; k++ {
+			e := keys[k*V3IPEntry:]
+			if binary.LittleEndian.Uint32(e[8:]) != 1 {
+				continue
+			}
+			p := post[binary.LittleEndian.Uint32(e[4:])*8+4:]
+			binary.LittleEndian.PutUint32(p, uint32((uint64(binary.LittleEndian.Uint32(p))+1)%certs))
+			return
+		}
+		t.Fatal("no single-sighting IP to forge")
+	})
+	if err := validateV3Random(forged); err != nil {
+		t.Fatalf("forged section should pass structural validation, got: %v", err)
+	}
+	_, err := Read(bytes.NewReader(forged), Options{})
+	if err == nil || !strings.Contains(err.Error(), "index section 2 does not match the decoded corpus") {
+		t.Fatalf("forged IP posting: got %v", err)
+	}
+}
+
 // nonZeroPad flips a padding byte between the shard payloads and the first
 // index section (the corpus geometry guarantees at least one pad byte is not
 // present in every build, so find one; skip-free fallback corrupts the gap

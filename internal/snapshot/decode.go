@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"securepki/internal/netsim"
+	"securepki/internal/parallel"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
@@ -21,25 +22,16 @@ const headerFixed = 8 + 3*8 + 2*4
 // tableEntry is the byte length of one shard-table entry.
 const tableEntry = 4*8 + 32
 
-// Read loads a corpus snapshot in any format: the first bytes select the
-// decoder (gzip magic → v1 gob via scanstore.ReadFrom, "SPKISNP2" → v2
-// columnar, "SPKISNP3" → v3 columnar + indexes). All input is treated as
-// hostile — truncation, corruption and absurd length fields yield explicit
-// errors, never panics or unbounded allocation.
+// Read loads a corpus snapshot in either format: the magic selects the
+// decoder ("SPKISNP2" → v2 columnar, "SPKISNP3" → v3 columnar + indexes);
+// anything else is rejected as bad magic. All input is treated as hostile —
+// truncation, corruption and absurd length fields yield explicit errors,
+// never panics or unbounded allocation.
 func Read(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 	opt = opt.withDefaults()
 	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(2)
-	if err != nil {
+	if _, err := br.Peek(2); err != nil {
 		return nil, fmt.Errorf("snapshot: read magic: %w", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		c, err := scanstore.ReadFrom(br)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: v1: %w", err)
-		}
-		opt.Obs.Counter("snapshot.decode.v1").Inc()
-		return c, nil
 	}
 	// Inputs shorter than a full magic fall through to readV2, whose own
 	// header read reports them as truncated or bad-magic.
@@ -177,7 +169,7 @@ func decodeShards(metas []shardMeta, sums [][32]byte, comps [][]byte, certShards
 	certParts := make([][]*x509lite.Certificate, certShards)
 	scanParts := make([][]decodedScan, nShards-int(certShards))
 	errs := make([]error, nShards)
-	forEachShard(opt.Workers, nShards, func(i int) {
+	parallel.ForEach(opt.Workers, nShards, func(i int) {
 		m := metas[i]
 		if sum := sha256.Sum256(comps[i]); sum != sums[i] {
 			errs[i] = fmt.Errorf("snapshot: shard %d checksum mismatch", i)

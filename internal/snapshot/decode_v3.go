@@ -116,21 +116,8 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 		return nil, err
 	}
 
-	// Rebuild the corpus-determined sections with the file's own shard
-	// geometry and insist on byte equality.
-	certRanges := make([]shardRange, lay.CertShards)
-	for i := range certRanges {
-		sh := lay.Shards[i]
-		certRanges[i] = shardRange{first: int(sh.First), count: int(sh.Count)}
-	}
-	rebuilt, err := buildV3Sections(c, certRanges, Options{Workers: opt.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuild indexes: %w", err)
-	}
-	for _, i := range []int{0, 1, 2, 4} { // fp, spki, ip, scanmeta; as is writer-dependent
-		if !bytes.Equal(sections[i][0], rebuilt[i].keys) || !bytes.Equal(sections[i][1], rebuilt[i].post) {
-			return nil, fmt.Errorf("snapshot: index section %d does not match the decoded corpus", i)
-		}
+	if err := checkV3Rebuild(c, lay, sections); err != nil {
+		return nil, err
 	}
 
 	opt.Obs.Counter("snapshot.decode.v3").Inc()
@@ -141,6 +128,74 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 	opt.Obs.Counter("snapshot.decode.observations").Add(int64(lay.ObsCount))
 	return c, nil
 }
+
+// checkV3Rebuild feeds the decoded corpus, cut into the file's own cert
+// shards, through the writer's index builder and demands byte equality with
+// the fingerprint, SPKI, IP and scan-metadata sections the file carries. The
+// AS section depends on the writer's network view, which the file does not
+// record, so it is left to structural validation. The IP postings are
+// compared as they stream out of the builder; nothing is compressed and no
+// file is created unless the IP sorter outgrows its default budget.
+func checkV3Rebuild(c *scanstore.Corpus, lay *V3Layout, sections [][2][]byte) error {
+	ix, err := newV3Index(nil, true, 0, "")
+	if err != nil {
+		return fmt.Errorf("snapshot: rebuild indexes: %w", err)
+	}
+	defer ix.close()
+	certs := c.Certs()
+	for _, rec := range certs {
+		ix.addCert(rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint())
+	}
+	var ders [][]byte
+	for _, sh := range lay.Shards[:lay.CertShards] {
+		ders = ders[:0]
+		for _, rec := range certs[sh.First : sh.First+sh.Count] {
+			ders = append(ders, rec.Cert.Raw)
+		}
+		ix.placeShard(ders)
+	}
+	for _, s := range c.Scans() {
+		ix.beginScan(s.Operator, s.Time)
+		for _, o := range s.Obs {
+			if err := ix.addObs(o.Cert, o.IP); err != nil {
+				return fmt.Errorf("snapshot: rebuild indexes: %w", err)
+			}
+		}
+	}
+	ipPost := &matchWriter{want: sections[2][1]}
+	rebuilt, err := ix.build(ipPost, io.Discard)
+	if err != nil {
+		return fmt.Errorf("snapshot: rebuild indexes: %w", err)
+	}
+	for _, i := range []int{0, 1, 2, 4} { // fp, spki, ip, scanmeta; as is writer-dependent
+		postOK := bytes.Equal(sections[i][1], rebuilt[i].post)
+		if i == 2 {
+			postOK = ipPost.matched()
+		}
+		if !bytes.Equal(sections[i][0], rebuilt[i].keys) || !postOK {
+			return fmt.Errorf("snapshot: index section %d does not match the decoded corpus", i)
+		}
+	}
+	return nil
+}
+
+// matchWriter compares a byte stream against want as it is written.
+type matchWriter struct {
+	want []byte
+	n    int
+	bad  bool
+}
+
+func (m *matchWriter) Write(p []byte) (int, error) {
+	if !m.bad && (len(m.want)-m.n < len(p) || !bytes.Equal(m.want[m.n:m.n+len(p)], p)) {
+		m.bad = true
+	}
+	m.n += len(p)
+	return len(p), nil
+}
+
+// matched reports whether exactly want was written.
+func (m *matchWriter) matched() bool { return !m.bad && m.n == len(m.want) }
 
 // readPadZeros consumes n alignment bytes and rejects any non-zero filler —
 // padding is not a place to smuggle bytes past the checksums.

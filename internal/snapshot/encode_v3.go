@@ -2,20 +2,24 @@ package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"time"
 
 	"securepki/internal/extsort"
-	"securepki/internal/parallel"
+	"securepki/internal/netsim"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
 
 // v3SectionData is one index section ready to write: key array, posting
-// array, and the table-entry fields derived from them.
+// array, and the table-entry fields derived from them. The IP and AS
+// sections leave post nil; their postings stream to the writers handed to
+// v3Index.build.
 type v3SectionData struct {
 	kind     uint32
 	keyCount uint64
@@ -23,476 +27,386 @@ type v3SectionData struct {
 	post     []byte
 }
 
-// WriteV3 serialises the corpus in the v3 format: v2's sharded columnar
-// payloads followed by the five point-lookup index sections. Like Write, the
-// output is byte-identical at any opt.Workers value — index construction
-// fans out over contiguous shard chunks merged in order, and every sort key
-// is a total order over the data.
-func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
-	opt = opt.withDefaults()
-	certs, scans, obsCount, certRanges, scanRanges, err := prepareWrite(c, opt)
-	if err != nil {
-		return err
-	}
+// derLoc locates one certificate's DER inside its cert shard's uncompressed
+// payload.
+type derLoc struct{ shard, off, dlen uint32 }
 
-	shards, err := encodeShards(certs, scans, certRanges, scanRanges, opt)
-	if err != nil {
-		return err
-	}
-	sections, err := buildV3Sections(c, certRanges, opt)
-	if err != nil {
-		return err
-	}
-	var indexBytes int64
-	for _, s := range sections {
-		indexBytes += int64(len(s.keys)) + int64(len(s.post))
-	}
-	opt.Obs.Counter("snapshot.encode.shards").Add(int64(len(shards)))
-	opt.Obs.Counter("snapshot.encode.certs").Add(int64(len(certs)))
-	opt.Obs.Counter("snapshot.encode.scans").Add(int64(len(scans)))
-	opt.Obs.Counter("snapshot.encode.observations").Add(int64(obsCount))
-	opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
+// scanMeta is one scan's metadata-section entry.
+type scanMeta struct {
+	op    scanstore.Operator
+	at    time.Time
+	count uint64
+}
 
-	// Fixed header, shard table, index table, header digest.
-	var head bytes.Buffer
-	head.WriteString(MagicV3)
-	putU64(&head, uint64(len(certs)))
-	putU64(&head, uint64(len(scans)))
-	putU64(&head, obsCount)
-	putU32(&head, uint32(len(certRanges)))
-	putU32(&head, uint32(len(scanRanges)))
-	putU32(&head, V3SectionCount)
-	putU32(&head, 0) // reserved
-	for _, sh := range shards {
-		putU64(&head, uint64(sh.first))
-		putU64(&head, uint64(sh.count))
-		putU64(&head, uint64(sh.rawLen))
-		putU64(&head, uint64(len(sh.comp)))
-		head.Write(sh.sum[:])
-	}
-	for _, s := range sections {
-		putU32(&head, s.kind)
-		putU32(&head, v3EntrySize(s.kind))
-		putU64(&head, s.keyCount)
-		putU64(&head, uint64(len(s.post)))
-		putU64(&head, 0) // reserved
-		sum := sha256SectionSum(s.keys, s.post)
-		head.Write(sum[:])
-	}
-	headSum := sha256SectionSum(head.Bytes(), nil)
-	head.Write(headSum[:])
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
+// ipRec and asRec are the external-sort records behind the v3 IP and AS
+// sections. Order includes the cert ID so duplicates land adjacent; the
+// final ref order is recovered per group at build time.
+type ipRec struct{ ip, scan, cert uint32 }
+type asRec struct{ asn, cert uint32 }
 
-	off := int64(head.Len())
-	for i, sh := range shards {
-		if _, err := w.Write(sh.comp); err != nil {
-			return fmt.Errorf("snapshot: write shard %d: %w", i, err)
-		}
-		off += int64(len(sh.comp))
+// v3Index is the one builder of the five v3 index sections. It holds the
+// constant-size per-certificate state (fingerprint, SPKI, DER location), the
+// per-scan metadata, and external-merge sorters for the IP and AS postings.
+// The StreamWriter feeds it as certificates and sightings arrive; readV3
+// feeds it from a decoded corpus and the file's own cert-shard geometry, so
+// the forged-index check rebuilds exactly the bytes a writer would emit.
+type v3Index struct {
+	fps   []x509lite.Fingerprint
+	spkis []x509lite.Fingerprint
+	locs  []derLoc // CertID order; filled one cert shard at a time
+	scans []scanMeta
+
+	asOf   func(netsim.IP, time.Time) (int, bool)
+	ipSort *extsort.Sorter[ipRec] // nil when no sections will be built
+	asSort *extsort.Sorter[asRec] // nil without an AS view
+}
+
+// newV3Index prepares an empty builder. With sorters off it only tracks the
+// per-certificate and per-scan state (the v2 writer's needs). Each sorter
+// buffers up to a quarter of budget (<= 0 means extsort.DefaultMemBudget)
+// before spilling runs to dir.
+func newV3Index(asOf func(netsim.IP, time.Time) (int, bool), sorters bool, budget int64, dir string) (*v3Index, error) {
+	ix := &v3Index{asOf: asOf}
+	if !sorters {
+		return ix, nil
 	}
-	var zeros [8]byte
-	writePad := func() error {
-		if n := pad8(off); n > 0 {
-			if _, err := w.Write(zeros[:n]); err != nil {
-				return fmt.Errorf("snapshot: write padding: %w", err)
+	if budget <= 0 {
+		budget = extsort.DefaultMemBudget
+	}
+	var err error
+	ix.ipSort, err = extsort.NewSorter(extsort.Config[ipRec]{
+		Size: 12,
+		Encode: func(dst []byte, r ipRec) {
+			binary.LittleEndian.PutUint32(dst, r.ip)
+			binary.LittleEndian.PutUint32(dst[4:], r.scan)
+			binary.LittleEndian.PutUint32(dst[8:], r.cert)
+		},
+		Decode: func(src []byte) ipRec {
+			return ipRec{
+				ip:   binary.LittleEndian.Uint32(src),
+				scan: binary.LittleEndian.Uint32(src[4:]),
+				cert: binary.LittleEndian.Uint32(src[8:]),
 			}
-			off += n
+		},
+		Less: func(a, b ipRec) bool {
+			if a.ip != b.ip {
+				return a.ip < b.ip
+			}
+			if a.scan != b.scan {
+				return a.scan < b.scan
+			}
+			return a.cert < b.cert
+		},
+		MemBudget: budget / 4,
+		Dir:       dir,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if asOf != nil {
+		ix.asSort, err = extsort.NewSorter(extsort.Config[asRec]{
+			Size: 8,
+			Encode: func(dst []byte, r asRec) {
+				binary.LittleEndian.PutUint32(dst, r.asn)
+				binary.LittleEndian.PutUint32(dst[4:], r.cert)
+			},
+			Decode: func(src []byte) asRec {
+				return asRec{asn: binary.LittleEndian.Uint32(src), cert: binary.LittleEndian.Uint32(src[4:])}
+			},
+			Less: func(a, b asRec) bool {
+				if a.asn != b.asn {
+					return a.asn < b.asn
+				}
+				return a.cert < b.cert
+			},
+			MemBudget: budget / 4,
+			Dir:       dir,
+		})
+		if err != nil {
+			ix.close()
+			return nil, err
 		}
+	}
+	return ix, nil
+}
+
+// addCert appends the next certificate (CertID len(fps)).
+func (ix *v3Index) addCert(fp, spki x509lite.Fingerprint) {
+	ix.fps = append(ix.fps, fp)
+	ix.spkis = append(ix.spkis, spki)
+}
+
+// placeShard records the DER locations of the next cert shard, whose
+// certificates are ders in ID order. Offsets replay the shard layout: the
+// uvarint length column precedes the concatenated DER bytes.
+func (ix *v3Index) placeShard(ders [][]byte) {
+	shard := uint32(0)
+	if n := len(ix.locs); n > 0 {
+		shard = ix.locs[n-1].shard + 1
+	}
+	off := 0
+	for _, der := range ders {
+		off += uvarintLen(uint64(len(der)))
+	}
+	for _, der := range ders {
+		ix.locs = append(ix.locs, derLoc{shard: shard, off: uint32(off), dlen: uint32(len(der))})
+		off += len(der)
+	}
+}
+
+// beginScan opens the next scan; following addObs calls belong to it.
+func (ix *v3Index) beginScan(op scanstore.Operator, at time.Time) {
+	ix.scans = append(ix.scans, scanMeta{op: op, at: at})
+}
+
+// addObs records one sighting of cert id at ip in the current scan.
+func (ix *v3Index) addObs(id scanstore.CertID, ip netsim.IP) error {
+	s := &ix.scans[len(ix.scans)-1]
+	s.count++
+	if ix.ipSort == nil {
 		return nil
 	}
-	if err := writePad(); err != nil {
+	scan := uint32(len(ix.scans) - 1)
+	if err := ix.ipSort.Add(ipRec{ip: uint32(ip), scan: scan, cert: uint32(id)}); err != nil {
 		return err
 	}
-	for i, s := range sections {
-		if _, err := w.Write(s.keys); err != nil {
-			return fmt.Errorf("snapshot: write index section %d keys: %w", i, err)
-		}
-		off += int64(len(s.keys))
-		if _, err := w.Write(s.post); err != nil {
-			return fmt.Errorf("snapshot: write index section %d postings: %w", i, err)
-		}
-		off += int64(len(s.post))
-		if err := writePad(); err != nil {
-			return err
-		}
+	if ix.asSort == nil {
+		return nil
 	}
-	return nil
+	asn, ok := ix.asOf(ip, s.at)
+	if !ok {
+		return nil
+	}
+	if asn < 0 || int64(asn) > math.MaxUint32 {
+		return fmt.Errorf("snapshot: AS number %d outside uint32", asn)
+	}
+	return ix.asSort.Add(asRec{asn: uint32(asn), cert: uint32(id)})
 }
 
-// fpLoc locates one certificate: where its DER lives (shard, offset into the
-// uncompressed payload, length) keyed by fingerprint.
-type fpLoc struct {
-	fp               x509lite.Fingerprint
-	shard, off, dlen uint32
-}
-
-// buildV3Sections constructs the five index sections. certRanges must be the
-// same shard boundaries the payloads were encoded with — on the write path
-// they come from the sizing knobs, on the verify path from the file's own
-// shard table. Every stage is deterministic in opt.Workers: parallel loops
-// own contiguous chunks, partial results merge in chunk order, and final
-// orders come from sorts with total keys.
-func buildV3Sections(c *scanstore.Corpus, certRanges []shardRange, opt Options) ([V3SectionCount]v3SectionData, error) {
-	var out [V3SectionCount]v3SectionData
-	certs := c.Certs()
-	scans := c.Scans()
-	w := opt.Workers
-
-	// Per-shard DER locations, then one global sort by fingerprint. Offsets
-	// replay encodeCertShard's layout: the uvarint length column precedes the
-	// concatenated DER bytes.
-	locs := make([]fpLoc, len(certs))
-	parallel.Do(w, len(certRanges), func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
-			rg := certRanges[si]
-			recs := certs[rg.first : rg.first+rg.count]
-			off := 0
-			for _, rec := range recs {
-				off += uvarintLen(uint64(len(rec.Cert.Raw)))
-			}
-			for j, rec := range recs {
-				locs[rg.first+j] = fpLoc{
-					fp:    rec.Cert.Fingerprint(),
-					shard: uint32(si),
-					off:   uint32(off),
-					dlen:  uint32(len(rec.Cert.Raw)),
-				}
-				off += len(rec.Cert.Raw)
-			}
-		}
-	})
-	// Fingerprints are unique, so chunk-sorting and merging yields the same
-	// total order as one big sort at any worker count — without reflect-based
-	// sort.Slice, which dominated the v3 write profile.
-	order := sortedIdentity(w, len(certs), func(a, b int) int {
-		return bytes.Compare(locs[a].fp[:], locs[b].fp[:])
+// build constructs the five sections. The fingerprint, SPKI and scan-meta
+// sections come back whole; the IP and AS posting arrays stream to ipPost
+// and asPost as the sorters merge, group by group, each (tiny) group
+// re-sorted by index position. Every order is total over the data, so the
+// bytes are a pure function of the fed certificates and sightings. build
+// consumes the sorters.
+func (ix *v3Index) build(ipPost, asPost io.Writer) (out [V3SectionCount]v3SectionData, err error) {
+	nCerts := len(ix.fps)
+	order := make([]uint32, nCerts)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	// Fingerprints are unique, so this is a total order.
+	slices.SortFunc(order, func(a, b uint32) int {
+		return bytes.Compare(ix.fps[a][:], ix.fps[b][:])
 	})
 	// refOf maps CertID → position in the sorted fingerprint index; all
 	// posting arrays reference certificates through it.
-	refOf := make([]uint32, len(certs))
+	refOf := make([]uint32, nCerts)
+	fpKeys := make([]byte, nCerts*V3FPEntry)
 	for pos, id := range order {
 		refOf[id] = uint32(pos)
+		l := ix.locs[id]
+		e := fpKeys[pos*V3FPEntry:]
+		copy(e[:32], ix.fps[id][:])
+		binary.LittleEndian.PutUint32(e[32:], l.shard)
+		binary.LittleEndian.PutUint32(e[36:], l.off)
+		binary.LittleEndian.PutUint32(e[40:], l.dlen)
 	}
-	// SPKI hashes fan out before the section builds: x509lite memoises them,
-	// so each digest buffer is computed once here and reused by every section
-	// that keys on it.
-	spkis := parallel.Map(w, len(certs), func(i int) x509lite.Fingerprint {
-		return certs[i].Cert.PublicKeyFingerprint()
+	out[0] = v3SectionData{kind: V3KindFP, keyCount: uint64(nCerts), keys: fpKeys}
+
+	// SPKI → cert set, ordered by (spki, ref): a total order, since refOf is
+	// a bijection over certificates.
+	spkiOrder := order // reuse: re-sorted by (spki, ref)
+	slices.SortFunc(spkiOrder, func(a, b uint32) int {
+		if c := bytes.Compare(ix.spkis[a][:], ix.spkis[b][:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(refOf[a], refOf[b])
 	})
+	var spkiKeys, spkiPost []byte
+	for lo := 0; lo < len(spkiOrder); {
+		hi := lo
+		for hi < len(spkiOrder) && ix.spkis[spkiOrder[hi]] == ix.spkis[spkiOrder[lo]] {
+			hi++
+		}
+		var e [V3SPKIEntry]byte
+		copy(e[:32], ix.spkis[spkiOrder[lo]][:])
+		binary.LittleEndian.PutUint32(e[32:], uint32(lo))
+		binary.LittleEndian.PutUint32(e[36:], uint32(hi-lo))
+		spkiKeys = append(spkiKeys, e[:]...)
+		for _, id := range spkiOrder[lo:hi] {
+			spkiPost = binary.LittleEndian.AppendUint32(spkiPost, refOf[id])
+		}
+		lo = hi
+	}
+	out[1] = v3SectionData{kind: V3KindSPKI, keyCount: uint64(len(spkiKeys) / V3SPKIEntry), keys: spkiKeys, post: spkiPost}
 
-	// With refOf fixed, the five sections share no further state and build
-	// concurrently; each task parallelises internally over the same worker
-	// knob. Validation failures land in per-task error slots.
-	var asErr, metaErr error
-	parallel.ForEach(w, 5, func(task int) {
-		switch task {
-		case 0:
-			fpKeys := make([]byte, len(certs)*V3FPEntry)
-			parallel.Do(w, len(order), func(_, lo, hi int) {
-				for pos := lo; pos < hi; pos++ {
-					l := locs[order[pos]]
-					e := fpKeys[pos*V3FPEntry:]
-					copy(e[:32], l.fp[:])
-					binary.LittleEndian.PutUint32(e[32:], l.shard)
-					binary.LittleEndian.PutUint32(e[36:], l.off)
-					binary.LittleEndian.PutUint32(e[40:], l.dlen)
-				}
-			})
-			out[0] = v3SectionData{kind: V3KindFP, keyCount: uint64(len(certs)), keys: fpKeys}
+	// IP section: the sorter yields (ip, scan, cert) groups; per (ip, scan)
+	// the distinct refs are emitted ascending, so postings run in
+	// (scan, ref) order under each IP with repeat sightings dropped.
+	var ipKeys []byte
+	{
+		elems := uint32(0)
+		var curIP, curScan uint32
+		var started bool
+		var groupRefs []uint32 // refs of the current (ip, scan) subgroup
+		var ipStart, ipCount uint32
+		var prevCert uint32
+		var havePrev bool
+		var postTmp [8]byte
 
-		case 1:
-			// SPKI → cert set, ordered by (spki, ref) — a total order, since
-			// refOf is a bijection over certificates.
-			spkiOrder := sortedIdentity(w, len(certs), func(a, b int) int {
-				if cmp := bytes.Compare(spkis[a][:], spkis[b][:]); cmp != 0 {
-					return cmp
+		flushSubgroup := func() error {
+			slices.Sort(groupRefs)
+			for _, ref := range groupRefs {
+				binary.LittleEndian.PutUint32(postTmp[:4], curScan)
+				binary.LittleEndian.PutUint32(postTmp[4:], ref)
+				if _, err := ipPost.Write(postTmp[:]); err != nil {
+					return err
 				}
-				switch {
-				case refOf[a] < refOf[b]:
-					return -1
-				case refOf[a] > refOf[b]:
-					return 1
-				}
-				return 0
-			})
-			spkiKeys := make([]byte, 0, 4*V3SPKIEntry)
-			spkiPost := make([]byte, 0, 4*len(certs))
-			for lo := 0; lo < len(spkiOrder); {
-				hi := lo
-				for hi < len(spkiOrder) && spkis[spkiOrder[hi]] == spkis[spkiOrder[lo]] {
-					hi++
-				}
-				var e [V3SPKIEntry]byte
-				copy(e[:32], spkis[spkiOrder[lo]][:])
-				binary.LittleEndian.PutUint32(e[32:], uint32(lo))
-				binary.LittleEndian.PutUint32(e[36:], uint32(hi-lo))
-				spkiKeys = append(spkiKeys, e[:]...)
-				for _, id := range spkiOrder[lo:hi] {
-					spkiPost = binary.LittleEndian.AppendUint32(spkiPost, refOf[id])
-				}
-				lo = hi
 			}
-			out[1] = v3SectionData{kind: V3KindSPKI, keyCount: uint64(len(spkiKeys) / V3SPKIEntry), keys: spkiKeys, post: spkiPost}
-
-		case 2:
-			// IP → (scan, cert) sightings. Each (ip, scan, ref) triple packs
-			// into a radixRec — hi: ip, lo: scan<<32|ref — built in parallel
-			// chunks whose in-order concatenation reproduces scan order at any
-			// worker count. A stable LSD radix sort then replaces the
-			// comparator sort that dominated the v3 write profile.
-			nChunks := parallel.NumShards(w, len(scans))
-			parts := make([][]radixRec, nChunks)
-			parallel.Do(w, len(scans), func(chunk, lo, hi int) {
-				n := 0
-				for si := lo; si < hi; si++ {
-					n += len(scans[si].Obs)
+			ipCount += uint32(len(groupRefs))
+			elems += uint32(len(groupRefs))
+			groupRefs = groupRefs[:0]
+			havePrev = false
+			return nil
+		}
+		flushIP := func() {
+			var e [V3IPEntry]byte
+			binary.LittleEndian.PutUint32(e[0:], curIP)
+			binary.LittleEndian.PutUint32(e[4:], ipStart)
+			binary.LittleEndian.PutUint32(e[8:], ipCount)
+			ipKeys = append(ipKeys, e[:]...)
+		}
+		err = ix.ipSort.Merge(func(r ipRec) error {
+			if started && r.ip == curIP && r.scan == curScan {
+				if havePrev && r.cert == prevCert {
+					return nil // repeat sighting of the same (scan, cert) at this IP
 				}
-				part := make([]radixRec, 0, n)
-				for si := lo; si < hi; si++ {
-					for _, o := range scans[si].Obs {
-						part = append(part, radixRec{hi: uint32(o.IP), lo: uint64(si)<<32 | uint64(refOf[o.Cert])})
-					}
-				}
-				parts[chunk] = part
-			})
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			recs := make([]radixRec, 0, total)
-			for _, p := range parts {
-				recs = append(recs, p...)
-			}
-			radixSort(recs)
-			ipKeys := make([]byte, 0, V3IPEntry*16)
-			ipPost := make([]byte, 0, 8*total)
-			elems := uint32(0)
-			var curIP, start, count uint32
-			var prev radixRec
-			started := false
-			flushIP := func() {
-				var e [V3IPEntry]byte
-				binary.LittleEndian.PutUint32(e[0:], curIP)
-				binary.LittleEndian.PutUint32(e[4:], start)
-				binary.LittleEndian.PutUint32(e[8:], count)
-				ipKeys = append(ipKeys, e[:]...)
-			}
-			for _, r := range recs {
-				if started && r == prev {
-					continue // repeat sighting of the same (scan, cert) at this IP
-				}
-				if started && r.hi != curIP {
-					flushIP()
-					curIP, start, count = r.hi, elems, 0
-				} else if !started {
-					curIP = r.hi
-				}
-				started = true
-				prev = r
-				ipPost = binary.LittleEndian.AppendUint32(ipPost, uint32(r.lo>>32))
-				ipPost = binary.LittleEndian.AppendUint32(ipPost, uint32(r.lo))
-				count++
-				elems++
+				prevCert, havePrev = r.cert, true
+				groupRefs = append(groupRefs, refOf[r.cert])
+				return nil
 			}
 			if started {
+				if err := flushSubgroup(); err != nil {
+					return err
+				}
+				if r.ip != curIP {
+					flushIP()
+					curIP, ipStart, ipCount = r.ip, elems, 0
+				}
+			} else {
+				started = true
+				curIP, ipStart, ipCount = r.ip, 0, 0
+			}
+			curScan = r.scan
+			prevCert, havePrev = r.cert, true
+			groupRefs = append(groupRefs, refOf[r.cert])
+			return nil
+		})
+		if err == nil && started {
+			if err = flushSubgroup(); err == nil {
 				flushIP()
 			}
-			out[2] = v3SectionData{kind: V3KindIP, keyCount: uint64(len(ipKeys) / V3IPEntry), keys: ipKeys, post: ipPost}
-
-		case 3:
-			// AS → cert set, only when the writer has a network view; the IP
-			// section's shape over (asn, ref) records — hi: asn, lo: ref. A
-			// nil ASOf leaves the section empty, never wrong.
-			if opt.ASOf == nil {
-				out[3] = v3SectionData{kind: V3KindAS}
-				return
-			}
-			nChunks := parallel.NumShards(w, len(scans))
-			parts := make([][]radixRec, nChunks)
-			asErrs := make([]error, nChunks)
-			parallel.Do(w, len(scans), func(chunk, lo, hi int) {
-				n := 0
-				for si := lo; si < hi; si++ {
-					n += len(scans[si].Obs)
-				}
-				part := make([]radixRec, 0, n)
-				for si := lo; si < hi; si++ {
-					at := scans[si].Time
-					for _, o := range scans[si].Obs {
-						asn, ok := opt.ASOf(o.IP, at)
-						if !ok {
-							continue
-						}
-						if asn < 0 || int64(asn) > math.MaxUint32 {
-							asErrs[chunk] = fmt.Errorf("snapshot: AS number %d outside uint32", asn)
-							return
-						}
-						part = append(part, radixRec{hi: uint32(asn), lo: uint64(refOf[o.Cert])})
-					}
-				}
-				parts[chunk] = part
-			})
-			for _, err := range asErrs {
-				if err != nil {
-					asErr = err
-					return
-				}
-			}
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			recs := make([]radixRec, 0, total)
-			for _, p := range parts {
-				recs = append(recs, p...)
-			}
-			radixSort(recs)
-			asKeys := make([]byte, 0, V3ASEntry*16)
-			asPost := make([]byte, 0, 4*total)
-			elems := uint32(0)
-			var curASN, start, count uint32
-			var prev radixRec
-			started := false
-			flushAS := func() {
-				var e [V3ASEntry]byte
-				binary.LittleEndian.PutUint32(e[0:], curASN)
-				binary.LittleEndian.PutUint32(e[4:], start)
-				binary.LittleEndian.PutUint32(e[8:], count)
-				asKeys = append(asKeys, e[:]...)
-			}
-			for _, r := range recs {
-				if started && r == prev {
-					continue
-				}
-				if started && r.hi != curASN {
-					flushAS()
-					curASN, start, count = r.hi, elems, 0
-				} else if !started {
-					curASN = r.hi
-				}
-				started = true
-				prev = r
-				asPost = binary.LittleEndian.AppendUint32(asPost, uint32(r.lo))
-				count++
-				elems++
-			}
-			if started {
-				flushAS()
-			}
-			out[3] = v3SectionData{kind: V3KindAS, keyCount: uint64(len(asKeys) / V3ASEntry), keys: asKeys, post: asPost}
-
-		case 4:
-			// Scan metadata, in scan-ID order — small, serial.
-			metaKeys := make([]byte, len(scans)*V3ScanMetaEntry)
-			for i, s := range scans {
-				if int64(s.Operator) < 0 || int64(s.Operator) > 1<<20 {
-					metaErr = fmt.Errorf("snapshot: scan %d operator %d outside format range", i, s.Operator)
-					return
-				}
-				if uint64(len(s.Obs)) > math.MaxUint32 {
-					metaErr = fmt.Errorf("snapshot: scan %d has %d observations, cap %d", i, len(s.Obs), uint32(math.MaxUint32))
-					return
-				}
-				e := metaKeys[i*V3ScanMetaEntry:]
-				binary.LittleEndian.PutUint32(e[0:], uint32(s.Operator))
-				binary.LittleEndian.PutUint32(e[4:], uint32(s.Time.Nanosecond()))
-				binary.LittleEndian.PutUint64(e[8:], uint64(s.Time.Unix()))
-				binary.LittleEndian.PutUint32(e[16:], uint32(len(s.Obs)))
-			}
-			out[4] = v3SectionData{kind: V3KindScanMeta, keyCount: uint64(len(scans)), keys: metaKeys}
 		}
-	})
-	if asErr != nil {
-		return out, asErr
+		if err != nil {
+			return out, err
+		}
 	}
-	if metaErr != nil {
-		return out, metaErr
+	out[2] = v3SectionData{kind: V3KindIP, keyCount: uint64(len(ipKeys) / V3IPEntry), keys: ipKeys}
+
+	// AS section: per asn, distinct cert refs ascending. Without an AS view
+	// the section is empty, never wrong.
+	var asKeys []byte
+	if ix.asSort != nil {
+		elems := uint32(0)
+		var curASN uint32
+		var started bool
+		var groupRefs []uint32
+		var prevCert uint32
+		var havePrev bool
+		var postTmp [4]byte
+
+		flushASN := func() error {
+			slices.Sort(groupRefs)
+			for _, ref := range groupRefs {
+				binary.LittleEndian.PutUint32(postTmp[:], ref)
+				if _, err := asPost.Write(postTmp[:]); err != nil {
+					return err
+				}
+			}
+			var e [V3ASEntry]byte
+			binary.LittleEndian.PutUint32(e[0:], curASN)
+			binary.LittleEndian.PutUint32(e[4:], elems)
+			binary.LittleEndian.PutUint32(e[8:], uint32(len(groupRefs)))
+			asKeys = append(asKeys, e[:]...)
+			elems += uint32(len(groupRefs))
+			groupRefs = groupRefs[:0]
+			havePrev = false
+			return nil
+		}
+		err = ix.asSort.Merge(func(r asRec) error {
+			if started && r.asn != curASN {
+				if err := flushASN(); err != nil {
+					return err
+				}
+				curASN = r.asn
+			} else if !started {
+				started = true
+				curASN = r.asn
+			}
+			if havePrev && r.cert == prevCert {
+				return nil
+			}
+			prevCert, havePrev = r.cert, true
+			groupRefs = append(groupRefs, refOf[r.cert])
+			return nil
+		})
+		if err == nil && started {
+			err = flushASN()
+		}
+		if err != nil {
+			return out, err
+		}
 	}
+	out[3] = v3SectionData{kind: V3KindAS, keyCount: uint64(len(asKeys) / V3ASEntry), keys: asKeys}
+
+	// Scan metadata, in scan-ID order.
+	metaKeys := make([]byte, len(ix.scans)*V3ScanMetaEntry)
+	for i, s := range ix.scans {
+		e := metaKeys[i*V3ScanMetaEntry:]
+		binary.LittleEndian.PutUint32(e[0:], uint32(s.op))
+		binary.LittleEndian.PutUint32(e[4:], uint32(s.at.Nanosecond()))
+		binary.LittleEndian.PutUint64(e[8:], uint64(s.at.Unix()))
+		binary.LittleEndian.PutUint32(e[16:], uint32(s.count))
+	}
+	out[4] = v3SectionData{kind: V3KindScanMeta, keyCount: uint64(len(ix.scans)), keys: metaKeys}
 	return out, nil
 }
 
-// radixRec is one packed posting record for radixSort, ordered by (hi, lo).
-// The whole record is the sort key, so equal records are identical and no
-// tie-break is needed.
-type radixRec struct {
-	hi uint32
-	lo uint64
+// mergeFanIn reports the widest k-way merge build will perform.
+func (ix *v3Index) mergeFanIn() int {
+	n := 0
+	if ix.ipSort != nil {
+		n = ix.ipSort.FanIn()
+	}
+	if ix.asSort != nil {
+		n = max(n, ix.asSort.FanIn())
+	}
+	return n
 }
 
-// radixSort orders recs by (hi, lo) with a stable LSD radix sort over 16-bit
-// digits, skipping digits on which every record agrees (scan and AS numbers
-// rarely use their high halves). O(n) per pass with no comparator calls — the
-// posting-array sorts this replaces dominated the v3 write profile.
-func radixSort(recs []radixRec) {
-	if len(recs) < 2 {
-		return
+// close releases the sorters' spill runs. Safe to call more than once.
+func (ix *v3Index) close() error {
+	var first error
+	if ix.ipSort != nil {
+		first = ix.ipSort.Close()
+		ix.ipSort = nil
 	}
-	digit := func(r radixRec, d int) uint32 {
-		if d < 4 {
-			return uint32(r.lo>>(16*uint(d))) & 0xffff
+	if ix.asSort != nil {
+		if err := ix.asSort.Close(); err != nil && first == nil {
+			first = err
 		}
-		return r.hi >> (16 * uint(d-4)) & 0xffff
+		ix.asSort = nil
 	}
-	// One pass histograms all six digits up front; a digit whose bucket holds
-	// every record is the identity and skips its scatter. Uniformity is a
-	// property of the multiset, so probing any record's digit — recs[0] even
-	// after earlier scatters — is sound.
-	counts := new([6][1 << 16]int32)
-	for _, r := range recs {
-		counts[0][uint16(r.lo)]++
-		counts[1][uint16(r.lo>>16)]++
-		counts[2][uint16(r.lo>>32)]++
-		counts[3][uint16(r.lo>>48)]++
-		counts[4][uint16(r.hi)]++
-		counts[5][uint16(r.hi>>16)]++
-	}
-	tmp := make([]radixRec, len(recs))
-	src, dst := recs, tmp
-	for d := 0; d < 6; d++ {
-		count := &counts[d]
-		if count[digit(recs[0], d)] == int32(len(recs)) {
-			continue
-		}
-		sum := int32(0)
-		for i, c := range count {
-			count[i] = sum
-			sum += c
-		}
-		for _, r := range src {
-			b := digit(r, d)
-			dst[count[b]] = r
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
-}
-
-// sortedIdentity returns the permutation [0, n) ordered by cmp: contiguous
-// chunks sort in parallel with the non-reflective slices.SortFunc and merge
-// in order. cmp must be a total order (or map equal elements to
-// interchangeable values) so the result is identical at any worker count.
-func sortedIdentity(workers, n int, cmp func(a, b int) int) []int {
-	shards := parallel.NumShards(workers, n)
-	runs := make([][]int, shards)
-	parallel.Do(workers, n, func(shard, lo, hi int) {
-		run := make([]int, hi-lo)
-		for i := range run {
-			run[i] = lo + i
-		}
-		slices.SortFunc(run, cmp)
-		runs[shard] = run
-	})
-	if shards == 1 {
-		return runs[0]
-	}
-	out := make([]int, 0, n)
-	extsort.MergeSorted(runs, func(a, b int) bool { return cmp(a, b) < 0 }, func(id int) {
-		out = append(out, id)
-	})
-	return out
+	return first
 }

@@ -41,16 +41,13 @@ func mutatedCorpus(tb testing.TB) *scanstore.Corpus {
 // FuzzReadSnapshot throws arbitrary bytes at the loader. The invariants: Read
 // never panics, never allocates unboundedly, and anything it accepts must
 // survive a write/read round trip unchanged. The seed corpus covers both
-// formats plus the interesting failure shapes; CI replays the seeds with
-// -fuzztime=0 so the harness itself stays exercised.
+// formats plus the interesting failure shapes, gzip streams (the retired v1
+// format) among the rejected ones; CI replays the seeds with -fuzztime=0 so
+// the harness itself stays exercised.
 func FuzzReadSnapshot(f *testing.F) {
 	c := testCorpus(f, 12, 3, 20)
 	v2 := encodeV2(f, c, Options{CertsPerShard: 5, ScansPerShard: 2})
-	var v1buf bytes.Buffer
-	if err := c.Write(&v1buf); err != nil {
-		f.Fatal(err)
-	}
-	v1 := v1buf.Bytes()
+	v1 := gzipBytes(f, v2)
 	empty := encodeV2(f, scanstore.NewCorpus(), Options{})
 	v3 := encodeV3(f, c, Options{CertsPerShard: 5, ScansPerShard: 2, ASOf: testASOf})
 	emptyV3 := encodeV3(f, scanstore.NewCorpus(), Options{})
@@ -98,7 +95,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		// Accepted input must round-trip: re-encode and re-read.
 		var buf bytes.Buffer
-		if err := Write(&buf, c, Options{Workers: 2}); err != nil {
+		if err := StreamCorpus(&buf, c, Options{}, StreamWriterConfig{}); err != nil {
 			t.Fatalf("accepted corpus fails to encode: %v", err)
 		}
 		again, err := Read(bytes.NewReader(buf.Bytes()), Options{Workers: 2})

@@ -35,8 +35,7 @@ func TestCodecMetricsDeterministic(t *testing.T) {
 }
 
 // TestCodecMetricsCounts spot-checks the counter semantics: encode and
-// decode agree on bytes, digest verifies cover every certificate, and the
-// v1 path marks itself.
+// decode agree on bytes and digest verifies cover every certificate.
 func TestCodecMetricsCounts(t *testing.T) {
 	c := testCorpus(t, 40, 5, 60)
 	reg := obs.NewRegistry()
@@ -56,17 +55,5 @@ func TestCodecMetricsCounts(t *testing.T) {
 	}
 	if got := reg.Counter("snapshot.decode.certs").Value(); got != 40 {
 		t.Fatalf("decode.certs = %d, want 40", got)
-	}
-
-	// The v1 path is counted, not shard-metered.
-	var v1 bytes.Buffer
-	if err := c.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(v1.Bytes()), opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("snapshot.decode.v1").Value(); got != 1 {
-		t.Fatalf("decode.v1 = %d, want 1", got)
 	}
 }

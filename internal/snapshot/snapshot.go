@@ -1,21 +1,22 @@
-// Package snapshot is the v2 on-disk corpus format: a sharded, columnar,
-// checksummed container replacing the serial gzip+gob blob of
-// scanstore.Write (v1). The paper's pipeline front-loads all of its cost
+// Package snapshot is the on-disk corpus format: a sharded, columnar,
+// checksummed container (v2), optionally followed by point-lookup index
+// sections (v3, see v3.go). The paper's pipeline front-loads all of its cost
 // into corpus I/O — 222 full-IPv4 scans and ~80M certificates must be
 // loaded, parsed and indexed before any analysis runs — so the snapshot
 // layer is built around three ideas:
 //
 //   - Sharding. Certificates and scans are split into fixed-size shards,
-//     each independently gzip-compressed and SHA-256-checksummed, so both
-//     encode and decode fan out across internal/parallel workers. Decode
-//     re-parses each shard's DERs inside its own worker, which is where the
-//     wall-clock goes (ParsEval: parse cost dominates certificate churn).
+//     each independently gzip-compressed and SHA-256-checksummed, so the
+//     writer compresses each shard as it fills and decode fans out across
+//     internal/parallel workers. Decode re-parses each shard's DERs inside
+//     its own worker, which is where the wall-clock goes (ParsEval: parse
+//     cost dominates certificate churn).
 //
 //   - Columns. Within a shard, like data sits together: certificate lengths,
 //     then DER bytes, then digests; scan metadata, then certificate-ID
 //     deltas, then IP deltas. Observations are varint delta-encoded per scan
 //     (consecutive sightings cluster in address space), which shrinks the
-//     uncompressed observation stream several-fold versus gob's per-struct
+//     uncompressed observation stream several-fold versus per-record
 //     framing — less to decompress, less to decode.
 //
 //   - Distrust. Every shard carries a SHA-256 of its compressed payload and
@@ -23,10 +24,8 @@
 //     hostile edits fail with explicit errors instead of panics or OOM;
 //     decode enforces hard caps on every length field before allocating.
 //
-// Read sniffs the format version: files beginning with the gzip magic are
-// delegated to scanstore.ReadFrom (v1) for migration, so every consumer of
-// this package reads both formats transparently. Writing v1 remains
-// available via scanstore.Write.
+// StreamWriter is the one encoder (StreamCorpus wraps it for a resident
+// corpus); Read accepts v2 and v3 by magic and rejects anything else.
 //
 // Layout (all header integers little-endian; see DESIGN.md "Snapshot
 // format v2" for the byte-level story):
@@ -57,9 +56,9 @@
 // (varint deltas, resetting to a zero base at each scan boundary), then the
 // IP column (same scheme). Times are normalised to UTC on load.
 //
-// The writer's output is byte-identical at any worker count: shard
-// boundaries depend only on the data and the per-shard sizing knobs, and
-// workers change nothing but which goroutine compresses which shard.
+// The writer's output depends only on the data and the per-shard sizing
+// knobs; decode fans shards out over Options.Workers and loads the same
+// corpus at any setting.
 package snapshot
 
 import (
@@ -68,7 +67,6 @@ import (
 
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
-	"securepki/internal/parallel"
 )
 
 // Magic opens every v2 snapshot.
@@ -100,8 +98,8 @@ const shardCompression = gzip.BestSpeed
 
 // Options tunes encode/decode. The zero value is ready to use.
 type Options struct {
-	// Workers bounds the encode/decode worker pool; <= 0 means GOMAXPROCS.
-	// Output bytes and the loaded corpus are identical at any setting.
+	// Workers bounds the decode worker pool; <= 0 means GOMAXPROCS. The
+	// loaded corpus is identical at any setting; the writer ignores it.
 	Workers int
 	// CertsPerShard is the certificate-shard granularity (default 2048).
 	CertsPerShard int
@@ -117,10 +115,11 @@ type Options struct {
 	// where re-hashing every DER only slows the load.
 	VerifyDigests bool
 	// ASOf resolves an IP to its announcing AS number at a point in time;
-	// WriteV3 uses it to build the AS → cert-set index (scangen passes the
-	// simulated Internet's Lookup). nil writes an empty AS section — v3 files
-	// produced without a network model simply answer no AS queries. The other
-	// index sections never depend on it. Ignored by Write (v2) and Read.
+	// the v3 writer uses it to build the AS → cert-set index (scangen passes
+	// the simulated Internet's Lookup). nil writes an empty AS section — v3
+	// files produced without a network model simply answer no AS queries.
+	// The other index sections never depend on it. Ignored by v2 writes and
+	// by Read.
 	ASOf func(ip netsim.IP, at time.Time) (asn int, ok bool)
 	// Obs receives codec metrics (snapshot.encode.* / snapshot.decode.*:
 	// per-shard raw/compressed byte counts, inflate ratios, digest-verify
@@ -138,29 +137,4 @@ func (o Options) withDefaults() Options {
 		o.ScansPerShard = 4
 	}
 	return o
-}
-
-// shardRange is one shard's slice of the certificate table or scan series.
-type shardRange struct{ first, count int }
-
-// shardRanges cuts n items into fixed-size shards. Boundaries depend only on
-// n and per — never on the worker count — so file bytes stay deterministic.
-func shardRanges(n, per int) []shardRange {
-	if n <= 0 {
-		return nil
-	}
-	ranges := make([]shardRange, 0, (n+per-1)/per)
-	for lo := 0; lo < n; lo += per {
-		c := per
-		if lo+c > n {
-			c = n - lo
-		}
-		ranges = append(ranges, shardRange{first: lo, count: c})
-	}
-	return ranges
-}
-
-// forEachShard runs fn over shard indices on the bounded worker pool.
-func forEachShard(workers, n int, fn func(i int)) {
-	parallel.ForEach(workers, n, fn)
 }

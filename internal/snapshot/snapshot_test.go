@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func corpusEqual(tb testing.TB, want, got *scanstore.Corpus) {
 func encodeV2(tb testing.TB, c *scanstore.Corpus, opt Options) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, c, opt); err != nil {
+	if err := StreamCorpus(&buf, c, opt, StreamWriterConfig{}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -142,7 +143,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // The file bytes must not depend on the worker count — shard boundaries are
-// fixed by the data, workers only pick who compresses what.
+// fixed by the data and the sizing knobs alone.
 func TestWriteDeterministicAcrossWorkers(t *testing.T) {
 	c := testCorpus(t, 90, 7, 120)
 	var ref []byte
@@ -158,36 +159,14 @@ func TestWriteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Read must accept the v1 gzip+gob format transparently.
-func TestReadV1(t *testing.T) {
-	c := testCorpus(t, 40, 5, 60)
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
+// The retired v1 format was a gzip stream; Read must reject gzip input as an
+// unknown format rather than guess at it.
+func TestReadRejectsV1(t *testing.T) {
+	v1 := gzipBytes(t, []byte("a gzip stream, the shape of a retired v1 corpus"))
+	_, err := Read(bytes.NewReader(v1), Options{})
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("gzip input: got %v, want a bad magic error", err)
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpusEqual(t, c, got)
-}
-
-// v1 and v2 must load to observably identical corpora.
-func TestV1V2Agree(t *testing.T) {
-	c := testCorpus(t, 64, 6, 200)
-	var v1 bytes.Buffer
-	if err := c.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := Read(bytes.NewReader(v1.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpusEqual(t, fromV1, fromV2)
 }
 
 func TestRoundTripEmpty(t *testing.T) {

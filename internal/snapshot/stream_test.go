@@ -8,115 +8,63 @@ import (
 	"securepki/internal/x509lite"
 )
 
-// streamEncode replays a corpus through the StreamWriter: certificates
-// interned in corpus ID order, then every scan's observations in order —
-// exactly the event stream the in-memory writer serialises.
-func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) []byte {
-	tb.Helper()
-	sw, err := NewStreamWriter(opt, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer sw.Close()
-	for i := 0; i < c.NumCerts(); i++ {
-		cert := c.Cert(scanstore.CertID(i)).Cert
-		id, fresh, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if !fresh || int(id) != i {
-			tb.Fatalf("intern %d: got id %d fresh=%v", i, id, fresh)
-		}
-	}
-	for s := 0; s < c.NumScans(); s++ {
-		scan := c.Scan(scanstore.ScanID(s))
-		if err := sw.BeginScan(scan.Operator, scan.Time); err != nil {
-			tb.Fatal(err)
-		}
-		for _, o := range scan.Obs {
-			if err := sw.AddObs(o.Cert, o.IP); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := sw.Finish(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestStreamWriterMatchesV2 demands the streaming writer's v2 output be
-// byte-identical to Write's over the same corpus, across shard sizings that
-// land partial and exact shard boundaries.
-func TestStreamWriterMatchesV2(t *testing.T) {
+// TestStreamCorpusSpillInvariant holds the disk paths to the in-memory
+// ones: with the column spill threshold crushed and a budget small enough to
+// spill the IP/AS sorters, every v2 and v3 file must match the bytes written
+// with nothing spilled, across shard sizings that land partial and exact
+// shard boundaries, with and without an AS view.
+func TestStreamCorpusSpillInvariant(t *testing.T) {
 	c := testCorpus(t, 300, 9, 500)
-	for _, opt := range []Options{
-		{},
-		{CertsPerShard: 64, ScansPerShard: 2},
-		{CertsPerShard: 300, ScansPerShard: 9}, // exact boundaries
+	opts := []Options{
+		{ASOf: testASOf},
+		{ASOf: testASOf, CertsPerShard: 64, ScansPerShard: 2},
+		{CertsPerShard: 300, ScansPerShard: 9}, // exact boundaries, no AS view
 		{CertsPerShard: 1, ScansPerShard: 1},
-	} {
-		want := encodeV2(t, c, opt)
-		got := streamEncode(t, c, opt, StreamWriterConfig{SpillDir: t.TempDir()})
-		if !bytes.Equal(want, got) {
-			t.Fatalf("CertsPerShard=%d ScansPerShard=%d: streaming v2 differs from Write (%d vs %d bytes)",
-				opt.CertsPerShard, opt.ScansPerShard, len(want), len(got))
-		}
 	}
-}
+	encode := func(opt Options, v3 bool, budget int64) []byte {
+		var buf bytes.Buffer
+		cfg := StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: budget, V3: v3}
+		if err := StreamCorpus(&buf, c, opt, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := make([][2][]byte, len(opts))
+	for i, opt := range opts {
+		want[i] = [2][]byte{encode(opt, false, 0), encode(opt, true, 0)}
+	}
 
-// TestStreamWriterMatchesV3 does the same for the indexed format, AS view
-// included, with the column spill threshold crushed so every observation
-// column and both posting arrays take the disk path.
-func TestStreamWriterMatchesV3(t *testing.T) {
 	old := colSpillThreshold
 	colSpillThreshold = 64
 	defer func() { colSpillThreshold = old }()
-
-	c := testCorpus(t, 300, 9, 500)
-	for _, opt := range []Options{
-		{ASOf: testASOf},
-		{ASOf: testASOf, CertsPerShard: 64, ScansPerShard: 2},
-		{CertsPerShard: 64, ScansPerShard: 2}, // no AS view: empty AS section
-	} {
-		var want bytes.Buffer
-		if err := WriteV3(&want, c, opt); err != nil {
-			t.Fatal(err)
-		}
-		got := streamEncode(t, c, opt, StreamWriterConfig{
-			SpillDir:  t.TempDir(),
-			MemBudget: 1 << 16, // force sorter spill runs
-			V3:        true,
-		})
-		if !bytes.Equal(want.Bytes(), got) {
-			t.Fatalf("ASOf=%v: streaming v3 differs from WriteV3 (%d vs %d bytes)",
-				opt.ASOf != nil, want.Len(), len(got))
+	for i, opt := range opts {
+		for j, v3 := range []bool{false, true} {
+			if got := encode(opt, v3, 1<<12); !bytes.Equal(want[i][j], got) {
+				t.Fatalf("CertsPerShard=%d ScansPerShard=%d v3=%v: spilled encode differs (%d vs %d bytes)",
+					opt.CertsPerShard, opt.ScansPerShard, v3, len(want[i][j]), len(got))
+			}
 		}
 		// The output must actually parse.
-		if _, err := ReadV3Layout(bytes.NewReader(got), int64(len(got))); err != nil {
+		if _, err := ReadV3Layout(bytes.NewReader(want[i][1]), int64(len(want[i][1]))); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestStreamWriterEmpty pins the degenerate corpus: no certs, no scans.
+// TestStreamWriterEmpty pins the degenerate corpus: no certs, no scans, in
+// both formats, round-tripping to an empty corpus.
 func TestStreamWriterEmpty(t *testing.T) {
-	c := scanstore.NewCorpus()
 	for _, v3 := range []bool{false, true} {
-		var want bytes.Buffer
-		var err error
-		if v3 {
-			err = WriteV3(&want, c, Options{})
-		} else {
-			err = Write(&want, c, Options{})
-		}
-		if err != nil {
+		var buf bytes.Buffer
+		if err := StreamCorpus(&buf, scanstore.NewCorpus(), Options{}, StreamWriterConfig{SpillDir: t.TempDir(), V3: v3}); err != nil {
 			t.Fatal(err)
 		}
-		got := streamEncode(t, c, Options{}, StreamWriterConfig{SpillDir: t.TempDir(), V3: v3})
-		if !bytes.Equal(want.Bytes(), got) {
-			t.Fatalf("v3=%v: empty streaming snapshot differs from in-memory", v3)
+		got, err := Read(bytes.NewReader(buf.Bytes()), Options{})
+		if err != nil {
+			t.Fatalf("v3=%v: %v", v3, err)
+		}
+		if got.NumCerts() != 0 || got.NumScans() != 0 {
+			t.Fatalf("v3=%v: want empty corpus, got %d certs, %d scans", v3, got.NumCerts(), got.NumScans())
 		}
 	}
 }
@@ -176,34 +124,5 @@ func TestStreamWriterInternDedups(t *testing.T) {
 	}
 	if sw.NumCerts() != 1 {
 		t.Fatalf("NumCerts %d after dedup", sw.NumCerts())
-	}
-}
-
-// TestStreamCorpusMatchesWrite pins the StreamCorpus convenience to the
-// one-shot writers, v2 and v3, under a spill-forcing budget.
-func TestStreamCorpusMatchesWrite(t *testing.T) {
-	c := testCorpus(t, 120, 5, 80)
-	cfg := StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: 1 << 14}
-
-	var got bytes.Buffer
-	if err := StreamCorpus(&got, c, Options{}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if want := encodeV2(t, c, Options{}); !bytes.Equal(want, got.Bytes()) {
-		t.Fatal("StreamCorpus v2 differs from Write")
-	}
-
-	opt := Options{ASOf: testASOf}
-	var wantV3 bytes.Buffer
-	if err := WriteV3(&wantV3, c, opt); err != nil {
-		t.Fatal(err)
-	}
-	cfg.V3 = true
-	got.Reset()
-	if err := StreamCorpus(&got, c, opt, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantV3.Bytes(), got.Bytes()) {
-		t.Fatal("StreamCorpus v3 differs from WriteV3")
 	}
 }

@@ -3,11 +3,13 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
 	"securepki/internal/netsim"
+	"securepki/internal/obs"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
@@ -28,7 +30,7 @@ func testASOf(ip netsim.IP, _ time.Time) (int, bool) {
 func encodeV3(tb testing.TB, c *scanstore.Corpus, opt Options) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := WriteV3(&buf, c, opt); err != nil {
+	if err := StreamCorpus(&buf, c, opt, StreamWriterConfig{V3: true}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,27 +84,45 @@ func TestV3RoundTripSparse(t *testing.T) {
 	corpusEqual(t, c, got)
 }
 
-// The acceptance bar: v3 bytes are identical at workers 1, 4 and 16, with
-// and without an AS view.
-func TestV3WriteDeterministicAcrossWorkers(t *testing.T) {
+// A v3 load, rebuild check included, is identical at workers 1, 4 and 16,
+// with and without an AS view: the same corpus and the same decode metrics.
+func TestV3ReadDeterministicAcrossWorkers(t *testing.T) {
 	c := testCorpus(t, 90, 7, 120)
 	for _, asof := range []struct {
 		name string
 		fn   func(netsim.IP, time.Time) (int, bool)
 	}{{"no-as", nil}, {"as", testASOf}} {
 		t.Run(asof.name, func(t *testing.T) {
+			raw := encodeV3(t, c, Options{CertsPerShard: 32, ScansPerShard: 2, ASOf: asof.fn})
 			var ref []byte
 			for _, workers := range []int{1, 4, 16} {
-				raw := encodeV3(t, c, Options{Workers: workers, CertsPerShard: 32, ScansPerShard: 2, ASOf: asof.fn})
+				reg := obs.NewRegistry()
+				got, err := Read(bytes.NewReader(raw), Options{Workers: workers, Obs: reg})
+				if err != nil {
+					t.Fatalf("Workers=%d: %v", workers, err)
+				}
+				corpusEqual(t, c, got)
+				metrics := reg.Snapshot().EncodeJSON()
 				if ref == nil {
-					ref = raw
+					ref = metrics
 					continue
 				}
-				if !bytes.Equal(ref, raw) {
-					t.Fatalf("Workers=%d produced different bytes than Workers=1", workers)
+				if !bytes.Equal(ref, metrics) {
+					t.Fatalf("Workers=%d decode metrics differ from Workers=1", workers)
 				}
 			}
 		})
+	}
+}
+
+// The v3 rebuild check runs in memory: under the default sorter budget a
+// load must not even try to create a spill file, so pointing the temp dir
+// at a path that does not exist cannot make it fail.
+func TestV3ReadCreatesNoFiles(t *testing.T) {
+	raw := encodeV3(t, testCorpus(t, 150, 11, 400), Options{CertsPerShard: 64, ScansPerShard: 3, ASOf: testASOf})
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "absent"))
+	if _, err := Read(bytes.NewReader(raw), Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -331,16 +351,11 @@ func TestV3IndexesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// v1, v2 and v3 loads of the same corpus must answer Lookup identically for
+// v2 and v3 loads of the same corpus must answer Lookup identically for
 // every fingerprint (plus a miss), the satellite pin for Corpus.Lookup.
 func TestLookupAgreesAcrossFormats(t *testing.T) {
 	c := testCorpus(t, 80, 6, 150)
-	var v1 bytes.Buffer
-	if err := c.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
 	loads := map[string][]byte{
-		"v1": v1.Bytes(),
 		"v2": encodeV2(t, c, Options{CertsPerShard: 33}),
 		"v3": encodeV3(t, c, Options{CertsPerShard: 33, ASOf: testASOf}),
 	}
