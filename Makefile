@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke check ci
+.PHONY: all build test vet lint fmt race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke check ci
 
 all: build test
 
@@ -24,6 +24,12 @@ lint:
 # real concurrency and flushes out inter-test state dependence.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Fails on any tracked Go file gofmt would rewrite. testdata/ is skipped:
+# the gostatic fixtures align their // want comments by hand.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 check: vet lint race
 
@@ -102,7 +108,7 @@ mem-smoke:
 	MEM_SMOKE=1 $(GO) test -run 'TestMemSmoke$$' -v -count=1 ./internal/core
 
 # Everything CI runs, in CI order; fails on any new repolint finding.
-ci: build vet lint
+ci: build vet lint fmt
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) fuzz-seeds
 	$(MAKE) bench-smoke

@@ -50,13 +50,11 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		plotDir    = flag.String("plotdir", "", "also write gnuplot-ready .dat files and plots.gp to this directory")
 		asJSON     = flag.Bool("json", false, "print a machine-readable summary instead of experiment text")
-		corpus     = flag.String("corpus", "", "load the corpus from this snapshot instead of scanning (v1, v2 or v3)")
+		corpus     = flag.String("corpus", "", "load the corpus from this snapshot instead of scanning (v2 or v3)")
 		saveTo     = flag.String("save-corpus", "", "after the run, write the corpus as a v2 snapshot to this file")
 		lintOut    = flag.String("lint-out", "", "write the lint stage's findings as a sidecar column to this file")
 		lintIn     = flag.String("lint-in", "", "load findings from a persisted column instead of re-linting")
 		lintConf   = flag.String("lint-config", "", "certlint.json suppression/scoping config for the lint stage")
-		memBudget  = flag.Int64("mem-budget", 0, "bound the index build's sort memory in bytes; runs beyond it spill to disk (0 = in-memory build)")
-		spillDir   = flag.String("spill-dir", "", "directory for index-build spill shards (\"\" = OS temp dir); implies -mem-budget's external path")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut   = flag.String("trace-out", "", "append pipeline-stage span events as JSON lines")
 	)
@@ -77,8 +75,6 @@ func main() {
 		cfg.World.Seed = *seed
 	}
 	cfg.Workers = *workers
-	cfg.Stream.MemBudget = *memBudget
-	cfg.Stream.SpillDir = *spillDir
 	if *lintConf != "" {
 		lintCfg, err := certlint.LoadConfig(*lintConf)
 		if err != nil {
@@ -239,9 +235,7 @@ func runFromSnapshot(cfg core.Config, path string) (*core.Pipeline, error) {
 	if err := p.LoadSnapshot(f); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	p.Validate()
 	p.Lint()
 	p.Link()
 	p.Track()

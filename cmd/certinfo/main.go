@@ -33,9 +33,9 @@ func main() {
 		lint     = flag.Bool("lint", false, "run the registry linters on each certificate")
 		lintConf = flag.String("lint-config", "", "certlint.json suppression/scoping config for -lint")
 		der      = flag.Bool("der", false, "input is raw DER, not PEM")
-		fetch  = flag.String("fetch", "", "fetch the chain from a host:port (wire protocol) instead of reading files")
-		corpus = flag.String("corpus", "", "look the certificate up in this v3 snapshot instead of reading files")
-		fpHex  = flag.String("fp", "", "with -corpus: hex SHA-256 fingerprint of the certificate to fetch")
+		fetch    = flag.String("fetch", "", "fetch the chain from a host:port (wire protocol) instead of reading files")
+		corpus   = flag.String("corpus", "", "look the certificate up in this v3 snapshot instead of reading files")
+		fpHex    = flag.String("fp", "", "with -corpus: hex SHA-256 fingerprint of the certificate to fetch")
 	)
 	flag.Parse()
 

@@ -49,8 +49,7 @@ type Config struct {
 	// (certlint.json semantics); nil runs every registered linter everywhere.
 	LintConfig *certlint.Config
 	// Stream sizes the streaming build path (StreamSnapshot) and the spill
-	// state of the resident pipeline's snapshot writes; a budget or spill
-	// directory also moves Validate's index onto the external-merge path.
+	// state of the resident pipeline's snapshot writes.
 	Stream StreamConfig
 }
 
@@ -128,9 +127,7 @@ func Run(cfg Config) (*Pipeline, error) {
 	if err := p.Scan(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	p.Validate()
 	p.Lint()
 	p.Link()
 	p.Track()
@@ -231,47 +228,15 @@ func (p *Pipeline) LoadSnapshot(r io.Reader) error {
 
 // Validate classifies every certificate against the world's root store
 // (stage 3) and builds the analysis dataset. Both fan out across
-// Config.Workers. When Config.Stream sets a memory budget or spill
-// directory, the index builds through the external-merge path
-// (scanstore.BuildIndexExt) — identical index, bounded sort memory.
-func (p *Pipeline) Validate() error {
+// Config.Workers.
+func (p *Pipeline) Validate() {
 	span := p.stage("core.validate", stageValidate)
 	store := truststore.NewStore()
 	for _, r := range p.World.Roots() {
 		store.AddRoot(r)
 	}
 	p.ValidationCounts = p.Corpus.ValidateWorkers(store, p.Config.Workers)
-	if s := p.Config.Stream; s.MemBudget > 0 || s.SpillDir != "" {
-		reg := p.Config.Obs
-		spillGauge := reg.Gauge("mem.spilled_runs")
-		spillBytes := reg.Gauge("mem.spilled_bytes")
-		var runs int64
-		ds, err := analysis.NewDatasetExt(p.Corpus, p.World.Internet, scanstore.ExtIndexConfig{
-			Workers:   p.Config.Workers,
-			MemBudget: s.MemBudget,
-			Dir:       s.SpillDir,
-			OnSpill: func(shard int, bytes int64) {
-				sp := p.span("core.spill")
-				runs++
-				spillGauge.Set(runs)
-				spillBytes.Add(bytes)
-				// Live diagnostics: spill order can depend on shard sizing,
-				// so goldens pin the sweep/stage events, not these.
-				p.Config.Journal.Emit("spill",
-					"shard", fmt.Sprint(shard),
-					"run", fmt.Sprint(runs),
-					"bytes", fmt.Sprint(bytes))
-				sp.End()
-			},
-			FanIn: func(n int) { reg.Gauge("mem.merge_fanin").Set(int64(n)) },
-		})
-		if err != nil {
-			return fmt.Errorf("core: validate: %w", err)
-		}
-		p.Dataset = ds
-	} else {
-		p.Dataset = analysis.NewDatasetWorkers(p.Corpus, p.World.Internet, p.Config.Workers)
-	}
+	p.Dataset = analysis.NewDatasetWorkers(p.Corpus, p.World.Internet, p.Config.Workers)
 	if reg := p.Config.Obs; reg != nil {
 		reg.Counter("core.validate.certs").Add(int64(p.Corpus.NumCerts()))
 		statuses := make([]truststore.Status, 0, len(p.ValidationCounts))
@@ -280,7 +245,7 @@ func (p *Pipeline) Validate() error {
 		}
 		sort.Slice(statuses, func(i, j int) bool { return statuses[i] < statuses[j] })
 		for _, st := range statuses {
-			reg.Counter("core.validate.status."+st.String()).Add(int64(p.ValidationCounts[st]))
+			reg.Counter("core.validate.status." + st.String()).Add(int64(p.ValidationCounts[st]))
 		}
 		// The memo counts are deterministic: misses happen exactly once per
 		// distinct issuer fingerprint (the fill holds the lock), so even
@@ -291,7 +256,6 @@ func (p *Pipeline) Validate() error {
 		reg.Counter("core.index.sightings").Add(int64(p.Corpus.NumObservations()))
 	}
 	span.End()
-	return nil
 }
 
 // Lint runs the default registry over every corpus certificate (stage 3b),

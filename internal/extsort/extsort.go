@@ -9,10 +9,8 @@
 // sequence handed to Add — never of the memory budget, the spill directory,
 // or how many runs happened to spill. Sorting is stable and the merge breaks
 // ties by run age (earlier-spilled runs first, the in-memory remainder
-// last), so records that compare equal come out in insertion order. Callers
-// exploit this: the scanstore index feeds sightings in scan-major order and
-// gets per-certificate sighting lists back in exactly the order the
-// in-memory build would produce.
+// last), so records that compare equal come out in insertion order and no
+// caller's output can depend on the budget.
 //
 // Distrust discipline (the snapshot package's rules): every run shard
 // carries a magic, its record width, an exact record count and a trailing

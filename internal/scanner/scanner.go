@@ -247,28 +247,68 @@ func (c *Campaign) Blacklisted(op scanstore.Operator, p netsim.Prefix) bool {
 }
 
 // Run executes every scheduled scan in order and returns the corpus and the
-// ground truth.
+// ground truth. It is the streamed sweep with the whole resident population
+// as one chunk: certificates intern straight into the corpus, and each
+// sighting's host index is recorded in Truth.
 func (c *Campaign) Run() (*scanstore.Corpus, *Truth, error) {
 	corpus := scanstore.NewCorpus()
 	truth := &Truth{CertHosts: make(map[x509lite.Fingerprint]map[int]bool)}
-	hosts := c.world.Hosts()
+	var obs []scanstore.Observation
+	emit := func(_, host int, cert *x509lite.Certificate, ip netsim.IP) {
+		obs = append(obs, scanstore.Observation{Cert: corpus.Intern(cert), IP: ip})
+		fp := cert.Fingerprint()
+		set, ok := truth.CertHosts[fp]
+		if !ok {
+			set = make(map[int]bool)
+			truth.CertHosts[fp] = set
+		}
+		set[host] = true
+	}
+	done := func(scan int) error {
+		plan := c.schedule[scan]
+		_, err := corpus.AddScan(plan.op, plan.at, obs)
+		obs = nil
+		return err
+	}
+	if err := c.sweep(c.world.Hosts(), 0, c.lossRNGs(), emit, done); err != nil {
+		return nil, nil, err
+	}
+	return corpus, truth, nil
+}
+
+// lossRNGs returns one packet-loss RNG per scheduled scan. Each is consumed
+// serially in global host order, so a streamed run shares one across every
+// chunk and chunk k's draws for a scan extend chunk k-1's.
+func (c *Campaign) lossRNGs() []*stats.RNG {
+	rngs := make([]*stats.RNG, len(c.schedule))
+	for i := range rngs {
+		rngs[i] = stats.NewRNG(c.cfg.Seed ^ 0xabcd ^ uint64(i))
+	}
+	return rngs
+}
+
+// sweep advances hosts — global host indexes base, base+1, … — through
+// every scheduled scan. Per scan, the host sweep fans out across workers
+// with each (scan, host) RNG seeded from the global host index; assembly
+// (routing, blacklist, loss) is serial in host order and calls emit for
+// every surviving (certificate, IP) sighting, then done(scan) when a non-nil
+// done is given. Neither worker nor chunk boundaries can move a draw.
+func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG,
+	emit func(scan, host int, cert *x509lite.Certificate, ip netsim.IP), done func(scan int) error) error {
 	workers := c.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
+	results := make([][]devicesim.Appearance, len(hosts))
 	for scanIdx, plan := range c.schedule {
 		start := plan.at
 		end := start.Add(c.cfg.ScanWindow)
 
-		// Sweep all hosts in parallel; results keyed by host index keep
-		// assembly deterministic.
-		results := make([][]devicesim.Appearance, len(hosts))
 		var wg sync.WaitGroup
-		chunk := (len(hosts) + workers - 1) / workers
+		per := (len(hosts) + workers - 1) / workers
 		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
+			lo := w * per
+			hi := lo + per
 			if hi > len(hosts) {
 				hi = len(hosts)
 			}
@@ -279,19 +319,16 @@ func (c *Campaign) Run() (*scanstore.Corpus, *Truth, error) {
 			go func(lo, hi int) {
 				defer wg.Done()
 				for h := lo; h < hi; h++ {
-					seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(h)*0x9e3779b97f4a7c15
-					hostRNG := stats.NewRNG(seed)
-					results[h] = hosts[h].Appearances(start, end, hostRNG)
+					seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(base+h)*0x9e3779b97f4a7c15
+					results[h] = hosts[h].Appearances(start, end, stats.NewRNG(seed))
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
 
-		// Assemble the snapshot: apply blacklist and loss, intern certs.
-		lossRNG := stats.NewRNG(c.cfg.Seed ^ 0xabcd ^ uint64(scanIdx))
-		var obs []scanstore.Observation
-		for h, apps := range results {
-			for _, app := range apps {
+		lossRNG := lossRNGs[scanIdx]
+		for h := range results {
+			for _, app := range results[h] {
 				prefix, routed := c.world.Internet.PrefixOf(app.IP)
 				if !routed {
 					continue
@@ -303,21 +340,16 @@ func (c *Campaign) Run() (*scanstore.Corpus, *Truth, error) {
 					continue
 				}
 				for _, cert := range app.Chain {
-					id := corpus.Intern(cert)
-					obs = append(obs, scanstore.Observation{Cert: id, IP: app.IP})
-					fp := cert.Fingerprint()
-					set, ok := truth.CertHosts[fp]
-					if !ok {
-						set = make(map[int]bool)
-						truth.CertHosts[fp] = set
-					}
-					set[h] = true
+					emit(scanIdx, base+h, cert, app.IP)
 				}
 			}
+			results[h] = nil
 		}
-		if _, err := corpus.AddScan(plan.op, start, obs); err != nil {
-			return nil, nil, err
+		if done != nil {
+			if err := done(scanIdx); err != nil {
+				return err
+			}
 		}
 	}
-	return corpus, truth, nil
+	return nil
 }

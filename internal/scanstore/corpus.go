@@ -202,53 +202,44 @@ type Index struct {
 
 // BuildIndex inverts the scan → observation mapping into per-certificate
 // sighting lists and precomputes the per-scan views (distinct scans, distinct
-// IPs per scan) that the §6 loops hammer. The inversion fans out across
+// IPs per scan) that the §6 loops hammer. The precompute fans out across
 // GOMAXPROCS workers; use BuildIndexWorkers to pin the count.
 func (c *Corpus) BuildIndex() *Index {
 	return c.BuildIndexWorkers(0)
 }
 
-// BuildIndexWorkers is BuildIndex with an explicit worker count (<= 0 means
-// GOMAXPROCS). Each worker inverts a contiguous chunk of the scan series
-// into its own sighting shard; shards are then concatenated in chunk order,
-// which is scan order, so the result is identical to the serial build.
+// BuildIndexWorkers is BuildIndex with an explicit worker count for the
+// precompute (<= 0 means GOMAXPROCS). The inversion is a serial counting
+// sort: count sightings per certificate, prefix-sum the counts into offsets,
+// then fill one flat sighting array scan-major, so each certificate's list is
+// in scan order. Beyond the index itself it holds one offset per certificate.
 func (c *Corpus) BuildIndexWorkers(workers int) *Index {
-	idx := &Index{corpus: c, sightings: make([][]Sighting, len(c.certs))}
-	nScans := len(c.scans)
-	shards := parallel.NumShards(workers, nScans)
-	if shards <= 1 {
-		for _, scan := range c.scans {
-			for _, obs := range scan.Obs {
-				idx.sightings[obs.Cert] = append(idx.sightings[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
-			}
+	n := len(c.certs)
+	off := make([]int, n+1)
+	for _, scan := range c.scans {
+		for _, obs := range scan.Obs {
+			off[obs.Cert+1]++
 		}
-	} else {
-		partial := make([][][]Sighting, shards)
-		parallel.Do(workers, nScans, func(shard, lo, hi int) {
-			sh := make([][]Sighting, len(c.certs))
-			for _, scan := range c.scans[lo:hi] {
-				for _, obs := range scan.Obs {
-					sh[obs.Cert] = append(sh[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
-				}
-			}
-			partial[shard] = sh
-		})
-		// Merge per certificate, shards in scan-chunk order; certificates are
-		// independent, so the merge itself fans out.
-		parallel.ForEach(workers, len(c.certs), func(i int) {
-			total := 0
-			for _, sh := range partial {
-				total += len(sh[i])
-			}
-			if total == 0 {
-				return
-			}
-			merged := make([]Sighting, 0, total)
-			for _, sh := range partial {
-				merged = append(merged, sh[i]...)
-			}
-			idx.sightings[i] = merged
-		})
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	flat := make([]Sighting, off[n])
+	for _, scan := range c.scans {
+		for _, obs := range scan.Obs {
+			flat[off[obs.Cert]] = Sighting{Scan: scan.ID, IP: obs.IP}
+			off[obs.Cert]++
+		}
+	}
+	// Filling advanced each offset to its certificate's end: cert i now
+	// spans [off[i-1], off[i]), with off[-1] taken as 0.
+	idx := &Index{corpus: c, sightings: make([][]Sighting, n)}
+	lo := 0
+	for i, hi := range off[:n] {
+		if hi > lo {
+			idx.sightings[i] = flat[lo:hi:hi] // capped: an append must not reach cert i+1
+		}
+		lo = hi
 	}
 	idx.precompute(workers)
 	return idx

@@ -77,32 +77,76 @@ func buildSyntheticCorpus(t testing.TB) *Corpus {
 	return c
 }
 
-// The parallel index build must be byte-identical to the serial one at every
-// worker count, including the precomputed accessors.
-func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
+// naiveIndex is the reference inversion: one append per sighting onto its
+// certificate's list, scans in order.
+func naiveIndex(c *Corpus) *Index {
+	idx := &Index{corpus: c, sightings: make([][]Sighting, c.NumCerts())}
+	for _, scan := range c.Scans() {
+		for _, obs := range scan.Obs {
+			idx.sightings[obs.Cert] = append(idx.sightings[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
+		}
+	}
+	idx.precompute(1)
+	return idx
+}
+
+// indexEqual fails unless every accessor of the two indexes agrees on every
+// certificate.
+func indexEqual(t *testing.T, c *Corpus, want, got *Index, label string) {
+	t.Helper()
+	for id := 0; id < c.NumCerts(); id++ {
+		cid := CertID(id)
+		if !reflect.DeepEqual(want.Sightings(cid), got.Sightings(cid)) {
+			t.Fatalf("%s cert %d: sightings differ\nwant %v\ngot  %v", label, id, want.Sightings(cid), got.Sightings(cid))
+		}
+		if !reflect.DeepEqual(want.ScansSeen(cid), got.ScansSeen(cid)) {
+			t.Fatalf("%s cert %d: ScansSeen differ", label, id)
+		}
+		for _, scan := range want.ScansSeen(cid) {
+			if !reflect.DeepEqual(want.IPsInScan(cid, scan), got.IPsInScan(cid, scan)) {
+				t.Fatalf("%s cert %d scan %d: IPsInScan differ", label, id, scan)
+			}
+		}
+		if want.AvgIPsPerScan(cid) != got.AvgIPsPerScan(cid) {
+			t.Fatalf("%s cert %d: AvgIPsPerScan differ", label, id)
+		}
+		if want.MaxIPsInAnyScan(cid) != got.MaxIPsInAnyScan(cid) {
+			t.Fatalf("%s cert %d: MaxIPsInAnyScan differ", label, id)
+		}
+	}
+}
+
+// The counting-sort index must equal the naive inversion on every accessor
+// at every worker count.
+func TestBuildIndexMatchesNaiveInversion(t *testing.T) {
 	c := buildSyntheticCorpus(t)
-	serial := c.BuildIndexWorkers(1)
-	for _, workers := range []int{2, 3, 8, 0} {
-		par := c.BuildIndexWorkers(workers)
-		for id := 0; id < c.NumCerts(); id++ {
-			cid := CertID(id)
-			if !reflect.DeepEqual(serial.Sightings(cid), par.Sightings(cid)) {
-				t.Fatalf("workers=%d cert %d: sightings differ", workers, id)
-			}
-			if !reflect.DeepEqual(serial.ScansSeen(cid), par.ScansSeen(cid)) {
-				t.Fatalf("workers=%d cert %d: ScansSeen differ", workers, id)
-			}
-			for _, scan := range serial.ScansSeen(cid) {
-				if !reflect.DeepEqual(serial.IPsInScan(cid, scan), par.IPsInScan(cid, scan)) {
-					t.Fatalf("workers=%d cert %d scan %d: IPsInScan differ", workers, id, scan)
-				}
-			}
-			if serial.AvgIPsPerScan(cid) != par.AvgIPsPerScan(cid) {
-				t.Fatalf("workers=%d cert %d: AvgIPsPerScan differ", workers, id)
-			}
-			if serial.MaxIPsInAnyScan(cid) != par.MaxIPsInAnyScan(cid) {
-				t.Fatalf("workers=%d cert %d: MaxIPsInAnyScan differ", workers, id)
-			}
+	want := naiveIndex(c)
+	for _, workers := range []int{1, 2, 3, 8, 0} {
+		indexEqual(t, c, want, c.BuildIndexWorkers(workers), fmt.Sprintf("workers=%d", workers))
+	}
+}
+
+// TestBuildIndexEmpty pins the empty corpus: no certs, no scans.
+func TestBuildIndexEmpty(t *testing.T) {
+	if idx := NewCorpus().BuildIndex(); idx == nil {
+		t.Fatal("nil index for empty corpus")
+	}
+}
+
+// Every certificate's sightings share one flat array, so each list must be
+// capacity-capped: appending to one may not overwrite its neighbour.
+func TestBuildIndexSightingsDoNotAlias(t *testing.T) {
+	c := buildSyntheticCorpus(t)
+	idx := c.BuildIndex()
+	for id := 0; id+1 < c.NumCerts(); id++ {
+		cur, next := idx.Sightings(CertID(id)), idx.Sightings(CertID(id+1))
+		if len(cur) == 0 || len(next) == 0 {
+			continue
+		}
+		before := next[0]
+		_ = append(cur, Sighting{Scan: -1, IP: 0})
+		if got := idx.Sightings(CertID(id + 1))[0]; got != before {
+			t.Fatalf("append to cert %d's sightings overwrote cert %d's: %v -> %v", id, id+1, before, got)
 		}
 	}
 }
