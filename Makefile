@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke check ci
+.PHONY: all build test vet lint fmt race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke bench-selftest check ci
 
 all: build test
 
@@ -107,6 +107,13 @@ telemetry-smoke:
 mem-smoke:
 	MEM_SMOKE=1 $(GO) test -run 'TestMemSmoke$$' -v -count=1 ./internal/core
 
+# perfbench is its own Go module, so ./... above never builds or tests it.
+# Its self-test runs the benchmark's workloads at toy size against this
+# checkout, so a core API change that breaks the benchmark fails here rather
+# than at benchmark time (~7 s).
+bench-selftest:
+	$(GO) -C perfbench test ./...
+
 # Everything CI runs, in CI order; fails on any new repolint finding.
 ci: build vet lint fmt
 	$(GO) test -race -shuffle=on ./...
@@ -119,6 +126,7 @@ ci: build vet lint fmt
 	$(MAKE) query-smoke
 	$(MAKE) lint-corpus-smoke
 	$(MAKE) mem-smoke
+	$(MAKE) bench-selftest
 
 # Perf trajectory: snapshot + parse benchmarks rendered to machine-readable
 # JSON so future PRs have a baseline to compare against (certs/sec, MB/s,

@@ -3,6 +3,7 @@ package certlint
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"time"
 
 	"securepki/internal/obs"
@@ -112,21 +113,7 @@ func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts O
 	})
 
 	if reg := opts.Obs; reg != nil {
-		reg.Gauge("lint.linters").Set(int64(r.Len()))
-		reg.Counter("lint.certs").Add(int64(len(results)))
-		var bySev [NumSeverities]int64
-		var total int64
-		for _, cf := range results {
-			for _, f := range cf.Findings {
-				bySev[f.Severity]++
-				total++
-			}
-		}
-		reg.Counter("lint.findings").Add(total)
-		reg.Counter("lint.findings.info").Add(bySev[Info])
-		reg.Counter("lint.findings.warn").Add(bySev[Warn])
-		reg.Counter("lint.findings.error").Add(bySev[Error])
-		reg.Counter("lint.findings.fatal").Add(bySev[Fatal])
+		r.RecordMetrics(reg, results)
 		if opts.Now != nil {
 			if secs := opts.Now().Sub(start).Seconds(); secs > 0 {
 				reg.Histogram("lint.certs_per_sec", nil, obs.Volatile).
@@ -135,4 +122,40 @@ func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts O
 		}
 	}
 	return results
+}
+
+// RecordMetrics adds one corpus run's stable lint.* metrics to reg: the
+// linter count, lint.certs, lint.findings and its per-severity split, and
+// lint.flagged_certs.<severity>, which counts each certificate once under
+// its worst finding (lint.clean_certs counts those with none, so the buckets
+// sum to lint.certs). RunCorpus calls it; so does any caller that lints
+// through RunCert itself, so every lint path reports the same counters.
+func (r *Registry) RecordMetrics(reg *obs.Registry, results []CertFindings) {
+	if reg == nil {
+		return
+	}
+	var findings, flagged [NumSeverities]int64
+	var total, clean int64
+	for _, cf := range results {
+		if len(cf.Findings) == 0 {
+			clean++
+			continue
+		}
+		worst := Info
+		for _, f := range cf.Findings {
+			findings[f.Severity]++
+			total++
+			worst = max(worst, f.Severity)
+		}
+		flagged[worst]++
+	}
+	reg.Gauge("lint.linters").Set(int64(r.Len()))
+	reg.Counter("lint.certs").Add(int64(len(results)))
+	reg.Counter("lint.findings").Add(total)
+	reg.Counter("lint.clean_certs").Add(clean)
+	for s := Info; s <= Fatal; s++ {
+		name := strings.ToLower(s.String())
+		reg.Counter("lint.findings." + name).Add(findings[s])
+		reg.Counter("lint.flagged_certs." + name).Add(flagged[s])
+	}
 }

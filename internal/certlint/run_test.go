@@ -181,6 +181,17 @@ func BenchmarkLintCorpus(b *testing.B) {
 	certs, ctx := corpusCerts(b, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Fresh Certificate values keep SelfSigned's memo cold, so the
+		// self_signed lint's signature check is timed, not a memo hit.
+		b.StopTimer()
+		for j, c := range certs {
+			fresh, err := x509lite.ParseWithDigest(c.Raw, c.Fingerprint())
+			if err != nil {
+				b.Fatal(err)
+			}
+			certs[j] = fresh
+		}
+		b.StartTimer()
 		Default().RunCorpus(certs, ctx, Options{Workers: 0})
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {

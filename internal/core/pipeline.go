@@ -275,13 +275,6 @@ func (p *Pipeline) Lint() {
 		Config:  p.Config.LintConfig,
 		Obs:     p.Config.Obs,
 	})
-	flagged := 0
-	for _, cf := range p.LintResults {
-		if len(cf.Findings) > 0 {
-			flagged++
-		}
-	}
-	p.Config.Obs.Counter("core.lint.flagged_certs").Add(int64(flagged))
 	span.End()
 }
 

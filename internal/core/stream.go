@@ -178,8 +178,9 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 // streamLint runs the default lint battery over the writer's retained DERs
 // and emits the sidecar column, byte-identical to Pipeline.Lint +
 // WriteLintColumn: the same corpus-wide key census feeds the same per-cert
-// RunCert, and results sort by fingerprint. Certificates lint in bounded
-// parallel batches so only one batch of parsed certs is resident.
+// RunCert, results sort by fingerprint, and certlint's RecordMetrics emits
+// the same lint.* counters. Certificates lint in bounded parallel batches so
+// only one batch of parsed certs is resident.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	n := sw.NumCerts()
 	ctx := &certlint.Context{KeyCount: make(map[x509lite.Fingerprint]int, n)}
@@ -233,17 +234,7 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 		return bytes.Compare(results[a].Fingerprint[:], results[b].Fingerprint[:]) < 0
 	})
 
-	if reg := cfg.Obs; reg != nil {
-		reg.Gauge("lint.linters").Set(int64(regy.Len()))
-		reg.Counter("lint.certs").Add(int64(len(results)))
-		flagged := 0
-		for _, cf := range results {
-			if len(cf.Findings) > 0 {
-				flagged++
-			}
-		}
-		reg.Counter("core.lint.flagged_certs").Add(int64(flagged))
-	}
+	regy.RecordMetrics(cfg.Obs, results)
 	return snapshot.WriteLintColumn(lintW, results, regy.Infos())
 }
 

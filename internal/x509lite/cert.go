@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"net"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,7 +60,10 @@ func FingerprintBytes(b []byte) Fingerprint { return sha256.Sum256(b) }
 
 // Certificate is a parsed X.509 certificate. All fields are populated by
 // Parse; Raw and RawTBS retain the exact DER so signatures stay verifiable
-// and fingerprints stable.
+// and fingerprints stable. The exported fields are immutable after Parse:
+// the digest and self-signature memos below answer from the values they
+// first saw, so a caller that edits a certificate must re-parse it into a
+// new value instead. Share a Certificate by pointer, never by copy.
 type Certificate struct {
 	Raw    []byte // complete DER encoding
 	RawTBS []byte // DER of the to-be-signed structure
@@ -101,12 +105,25 @@ type Certificate struct {
 	// Memoized digests. Parse fills these once so the corpus-wide hot paths
 	// (Intern, truststore chain lookups, key-sharing grouping) never redo
 	// SHA-256 work; a zero-value Certificate built by hand still answers
-	// Fingerprint correctly via the compute-on-the-fly fallback. The memo is
-	// written only before the certificate is shared (Parse or the snapshot
-	// loader), never lazily, so concurrent readers need no synchronisation.
+	// Fingerprint correctly via the compute-on-the-fly fallback. This memo
+	// is written only before the certificate is shared (Parse or the
+	// snapshot loader), so concurrent readers need no synchronisation.
 	fp, pkfp Fingerprint
 	memoized bool
+
+	// selfSig memoizes SelfSigned: selfSigUnknown until the first call,
+	// then selfSigYes or selfSigNo. Unlike the digests it is filled lazily
+	// and atomically — Parse runs on lookup and load paths that never ask,
+	// and an eager Ed25519 verify there would cost one per parse.
+	selfSig atomic.Uint32
 }
+
+// Values of Certificate.selfSig.
+const (
+	selfSigUnknown uint32 = iota
+	selfSigYes
+	selfSigNo
+)
 
 // Fingerprint returns the SHA-256 of the full DER encoding. For parsed
 // certificates this is a memo lookup; hand-constructed Certificate values
@@ -162,9 +179,21 @@ func (c *Certificate) ValidityDays() float64 {
 func (c *Certificate) SelfIssued() bool { return c.Issuer == c.Subject }
 
 // SelfSigned reports whether the certificate verifies under its own public
-// key, regardless of the names.
+// key, regardless of the names. The Ed25519 check runs once per Certificate
+// value: validation and the self_signed lint both ask, and the answer is
+// memoized. Goroutines racing on a cold memo each verify and store the same
+// answer, which is benign.
 func (c *Certificate) SelfSigned() bool {
-	return c.CheckSignatureFrom(c) == nil
+	if v := c.selfSig.Load(); v != selfSigUnknown {
+		return v == selfSigYes
+	}
+	ok := c.CheckSignatureFrom(c) == nil
+	v := selfSigNo
+	if ok {
+		v = selfSigYes
+	}
+	c.selfSig.Store(v)
+	return ok
 }
 
 // CheckSignatureFrom verifies that parent's key signed c.

@@ -51,8 +51,11 @@ func FuzzParseCert(f *testing.F) {
 		if cert.Fingerprint() != x509lite.FingerprintBytes(der) {
 			t.Fatal("fingerprint not over raw DER")
 		}
+		selfSigned := cert.SelfSigned()
 		_ = cert.Text()
-		_ = cert.SelfSigned()
+		if cert.SelfSigned() != selfSigned {
+			t.Fatal("second SelfSigned call disagrees with the first")
+		}
 		_ = cert.SelfIssued()
 		_ = cert.ValidityDays()
 	})

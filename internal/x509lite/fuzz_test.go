@@ -51,8 +51,11 @@ func FuzzParse(f *testing.F) {
 		if cert.Fingerprint() != FingerprintBytes(der) {
 			t.Fatal("fingerprint not over raw DER")
 		}
+		selfSigned := cert.SelfSigned()
 		_ = cert.Text()
-		_ = cert.SelfSigned()
+		if cert.SelfSigned() != selfSigned {
+			t.Fatal("second SelfSigned call disagrees with the first")
+		}
 		_ = cert.ValidityDays()
 	})
 }
