@@ -396,7 +396,10 @@ func BenchmarkAblationFieldOrder(b *testing.B) {
 // AblationSigning: certificate generation cost with real Ed25519 signatures
 // versus the signing operation alone versus pure DER encoding (signature
 // bytes precomputed) — the trade DESIGN.md makes by choosing Ed25519 over
-// RSA for the simulated population.
+// RSA for the simulated population. derive-key is the per-key cost of
+// ed25519.NewKeyFromSeed, which every simulated host key pays once when its
+// first certificate is signed; with sign-only and verify-only it prices the
+// crypto floor.
 func BenchmarkAblationSigning(b *testing.B) {
 	seed := make([]byte, ed25519.SeedSize)
 	priv := ed25519.NewKeyFromSeed(seed)
@@ -423,6 +426,16 @@ func BenchmarkAblationSigning(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := x509lite.CreateCertificate(tmpl, pub, priv); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("derive-key", func(b *testing.B) {
+		b.ReportAllocs()
+		s := make([]byte, ed25519.SeedSize)
+		for i := 0; i < b.N; i++ {
+			s[0] = byte(i)
+			if len(ed25519.NewKeyFromSeed(s)) != ed25519.PrivateKeySize {
+				b.Fatal("derived key has the wrong size")
 			}
 		}
 	})

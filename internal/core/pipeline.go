@@ -169,8 +169,20 @@ func (p *Pipeline) Scan() error {
 	reg.Counter("core.scan.scans").Add(int64(corpus.NumScans()))
 	reg.Counter("core.scan.observations").Add(int64(corpus.NumObservations()))
 	reg.Counter("core.corpus.certs").Add(int64(corpus.NumCerts()))
+	recordWork(reg, p.World.Work())
 	span.End()
 	return nil
+}
+
+// recordWork publishes a world's host-certificate work counts after its
+// scans: templates built at reissue, the certificates some scan observed and
+// so had to sign, and the keys that took. reissues - certs_signed is the
+// work the lazy population skipped. Both build paths call it with the same
+// counts, at any worker count.
+func recordWork(reg *obs.Registry, w devicesim.Work) {
+	reg.Counter("devicesim.reissues").Add(w.Reissues)
+	reg.Counter("devicesim.certs_signed").Add(w.CertsSigned)
+	reg.Counter("devicesim.keys_derived").Add(w.KeysDerived)
 }
 
 // WriteSnapshot serialises the corpus in the v2 sharded columnar format

@@ -95,6 +95,7 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	liveGauge.Set(int64(store.LiveChunks()))
 	stats.Chunks = store.NumChunks()
 	reg.Counter("core.scan.scans").Add(int64(len(sched)))
+	recordWork(reg, gen.World().Work())
 	span.End()
 	readHeapHighWater(reg)
 

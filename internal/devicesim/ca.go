@@ -45,18 +45,6 @@ var namedIssuers = []string{
 
 const numMinorIssuers = 22
 
-func keyFromRNG(r *stats.RNG) (ed25519.PublicKey, ed25519.PrivateKey) {
-	seed := make([]byte, ed25519.SeedSize)
-	for i := 0; i < len(seed); i += 8 {
-		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(seed); j++ {
-			seed[i+j] = byte(v >> (8 * j))
-		}
-	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return priv.Public().(ed25519.PublicKey), priv
-}
-
 func mustCreate(tmpl *x509lite.Template, pub ed25519.PublicKey, signer ed25519.PrivateKey) *x509lite.Certificate {
 	der, err := x509lite.CreateCertificate(tmpl, pub, signer)
 	if err != nil {
@@ -76,7 +64,8 @@ func buildHierarchy(r *stats.RNG, epoch time.Time) *hierarchy {
 	const numRoots = 12
 	rootKeys := make([]ed25519.PrivateKey, numRoots)
 	for i := 0; i < numRoots; i++ {
-		pub, priv := keyFromRNG(r)
+		priv := keyFromRNG(r).private(nil)
+		pub := priv.Public().(ed25519.PublicKey)
 		rootKeys[i] = priv
 		name := x509lite.Name{
 			Country:      "US",
@@ -101,7 +90,8 @@ func buildHierarchy(r *stats.RNG, epoch time.Time) *hierarchy {
 	}
 	choices := make([]stats.WeightedChoice[*CA], 0, len(issuerNames))
 	for i, name := range issuerNames {
-		pub, priv := keyFromRNG(r)
+		priv := keyFromRNG(r).private(nil)
+		pub := priv.Public().(ed25519.PublicKey)
 		rootIdx := i % numRoots
 		subject := x509lite.Name{Organization: "Certification Services", CommonName: name}
 		cert := mustCreate(&x509lite.Template{

@@ -52,11 +52,10 @@ type Device struct {
 	sanUnique    string
 	serial       *big.Int // fixed serial for StableSerial profiles
 	crlBase      string
-	fleetCert    *x509lite.Certificate // shared cert for fleet members; nil otherwise
+	fleetCert    *lazyCert // shared cert for fleet members; nil otherwise
 
-	key  ed25519.PrivateKey
-	pub  ed25519.PublicKey
-	cert *x509lite.Certificate
+	key  *lazyKey
+	cert *lazyCert // signed on first observation (see lazy.go)
 
 	now          time.Time
 	nextIPChange time.Time
@@ -127,9 +126,9 @@ func (w *World) newDevice(id int, p *Profile, birth time.Time, r *stats.RNG) *De
 	}
 
 	if p.Key == KeyVendorShared {
-		d.pub, d.key = w.sharedDeviceKey(p)
+		d.key = w.sharedDeviceKey(p)
 	} else {
-		d.pub, d.key = keyFromRNG(r)
+		d.key = keyFromRNG(r)
 	}
 	d.reissue(birth)
 	return d
@@ -157,17 +156,20 @@ func (d *Device) Static() bool { return d.static }
 // Moves returns the device's AS-change history so far.
 func (d *Device) Moves() []ASMove { return d.moves }
 
-// CurrentCert returns the certificate the device is serving now.
-func (d *Device) CurrentCert() *x509lite.Certificate { return d.cert }
+// CurrentCert returns the certificate the device is serving now, signing it
+// if no caller has observed it yet. Repeated calls return the same pointer.
+func (d *Device) CurrentCert() *x509lite.Certificate { return d.cert.get() }
 
 // AdvanceTo applies all scheduled events (address changes, certificate
 // reissues, AS moves) strictly before t. Time never moves backwards.
 //
 // Certificate regeneration is coalesced: when several reissue-triggering
 // events fall inside the window, only the final one is observable at t, so
-// only that one actually builds a certificate. This keeps daily-reissuing
-// devices (FRITZ!Box) cheap to advance across multi-week scan gaps without
-// changing anything a scan can see.
+// only that one builds a template (making its draws). Even that template is
+// signed only if a later Appearances or CurrentCert call needs it: a device
+// that reissues again before the next scan window never pays for signing.
+// Together these keep daily-reissuing devices (FRITZ!Box) cheap to advance
+// across multi-week scan gaps without changing anything a scan can see.
 func (d *Device) AdvanceTo(t time.Time) {
 	if t.Before(d.now) {
 		return
@@ -211,8 +213,9 @@ func (d *Device) AdvanceTo(t time.Time) {
 }
 
 // applyIPChange performs an immediate address change with its reissue; used
-// for the single mid-scan change whose before/after certificates must both
-// exist.
+// for the single mid-scan change, where the scan may observe the
+// certificate from before the change, the one after it, both or neither.
+// Each one is signed only if it is observed.
 func (d *Device) applyIPChange(at time.Time) {
 	d.now = at
 	d.ip = d.as.RandomIP(d.rng)
@@ -243,7 +246,10 @@ func (d *Device) applyASMove(at time.Time) {
 	d.nextASMove = at.Add(time.Duration(d.rng.Exponential(365.25*24/d.Profile.MoveASProbPerYear)) * time.Hour)
 }
 
-// reissue regenerates the device's certificate as of time at.
+// reissue regenerates the device's certificate as of time at. It makes
+// every draw the certificate needs (fresh key seed, validity, serial,
+// subject, version, signature corruption) and builds the final template, but
+// leaves key derivation and signing to the first observer; see lazyCert.
 func (d *Device) reissue(at time.Time) {
 	p := d.Profile
 	if d.fleetCert != nil {
@@ -251,7 +257,7 @@ func (d *Device) reissue(at time.Time) {
 		return
 	}
 	if p.Key == KeyFresh {
-		d.pub, d.key = keyFromRNG(d.rng)
+		d.key = keyFromRNG(d.rng)
 	}
 
 	var notBefore time.Time
@@ -317,7 +323,7 @@ func (d *Device) reissue(at time.Time) {
 		tmpl.PolicyOIDs = [][]int{{1, 3, 6, 1, 4, 1, 99999, d.ID}}
 	}
 
-	signer := d.key
+	var caKey ed25519.PrivateKey // nil: signed by the device's own key
 	switch p.Issuer {
 	case IssuerSelf:
 		tmpl.Issuer = subject
@@ -325,7 +331,7 @@ func (d *Device) reissue(at time.Time) {
 		tmpl.Issuer = x509lite.Name{CommonName: p.IssuerText}
 	case IssuerVendorCA:
 		tmpl.Issuer = x509lite.Name{CommonName: p.IssuerText}
-		signer = d.world.vendorCAKey(p)
+		caKey = d.world.vendorCAKey(p)
 		// Vendor-CA-signed certs carry the vendor's key ID, so the §5.3
 		// parent-key analysis can group them.
 		vendorCert := d.world.vendorCerts[p.Name]
@@ -336,20 +342,7 @@ func (d *Device) reissue(at time.Time) {
 		tmpl.AuthorityKeyID = []byte(d.mac)
 	}
 
-	d.cert = mustCreate(tmpl, d.pub, signer)
-
-	// Frankencert injection: mutation is keyed by device ID, so the decision
-	// and the operator survive reissues, and fleet members inherit the
-	// leader's mutated cert through fleetCert like any other.
-	if m := d.world.mutator; m != nil {
-		mutated, err := m.Rewrite(d.ID, d.cert)
-		if err != nil {
-			// Population-class operators guarantee parseability over any
-			// x509lite-built certificate; failing here is a mutator bug.
-			panic(fmt.Sprintf("devicesim: %v", err))
-		}
-		d.cert = mutated
-	}
+	d.cert = d.world.newLazyCert(tmpl, d.key, caKey, d.ID)
 }
 
 func (d *Device) subjectName() x509lite.Name {
@@ -403,19 +396,18 @@ func (d *Device) Appearances(start, end time.Time, scanRNG *stats.RNG) []Appeara
 	var apps []Appearance
 	if d.nextIPChange.Before(end) {
 		tc := d.nextIPChange
-		oldIP := d.ip
-		oldChain := []*x509lite.Certificate{d.cert}
+		oldIP, oldCert := d.ip, d.cert
 		d.applyIPChange(tc)
 		u1 := randTimeIn(scanRNG, start, end)
 		u2 := randTimeIn(scanRNG, start, end)
 		if u1.Before(tc) {
-			apps = append(apps, Appearance{IP: oldIP, Chain: oldChain})
+			apps = append(apps, Appearance{IP: oldIP, Chain: []*x509lite.Certificate{oldCert.get()}})
 		}
 		if u2.After(tc) {
-			apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert}})
+			apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
 		}
 	} else {
-		apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert}})
+		apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
 	}
 	d.AdvanceTo(end)
 	return apps

@@ -38,11 +38,12 @@ type Generator struct {
 	// Pending fleet run: the population loop draws a profile, a shared
 	// birth time and a fleet length, then materialises members one at a
 	// time; a batch boundary can land mid-fleet, so the remainder — and
-	// the leader's certificate the members must serve — carries over.
+	// the leader's (still unsigned) certificate the members must serve —
+	// carries over.
 	fleetProfile *Profile
 	fleetBirth   time.Time
 	fleetLeft    int
-	fleetCert    *x509lite.Certificate
+	fleetCert    *lazyCert
 }
 
 // NewGenerator validates cfg and builds the base world (Internet, PKI,
@@ -71,7 +72,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		profileEpochs: make(map[string]time.Time),
 		vendorCAKeys:  make(map[string]ed25519.PrivateKey),
 		vendorCerts:   make(map[string]*x509lite.Certificate),
-		sharedKeys:    make(map[string]keyPair),
+		sharedKeys:    make(map[string]*lazyKey),
 	}
 
 	// §7.3 bulk transfers: Verizon hands blocks to MCI twice; AT&T once.
@@ -117,7 +118,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		w.profileEpochs[p.Name] = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC).
 			AddDate(0, 0, vendorRNG.Intn(2500))
 		if p.Issuer == IssuerVendorCA {
-			pub, priv := keyFromRNG(vendorRNG)
+			priv := keyFromRNG(vendorRNG).private(nil)
+			pub := priv.Public().(ed25519.PublicKey)
 			w.vendorCAKeys[p.Name] = priv
 			name := x509lite.Name{CommonName: p.IssuerText}
 			w.vendorCerts[p.Name] = mustCreate(&x509lite.Template{
@@ -129,8 +131,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 			}, pub, priv)
 		}
 		if p.Key == KeyVendorShared {
-			pub, priv := keyFromRNG(vendorRNG)
-			w.sharedKeys[p.Name] = keyPair{pub: pub, priv: priv}
+			w.sharedKeys[p.Name] = keyFromRNG(vendorRNG)
 		}
 	}
 

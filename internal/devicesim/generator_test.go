@@ -13,24 +13,23 @@ func smallCfg() Config {
 }
 
 // fingerprintHosts reduces a host list to a comparable shape: the leaf DER
-// each host would serve at a probe shortly after the timeline opens, which
-// covers cert material, fleet sharing and birth times at once.
-func fingerprintHosts(t *testing.T, hosts []Host, cfg Config) [][]byte {
+// each host serves at birth plus its birth time, which covers cert
+// material, fleet sharing and birth times at once.
+func fingerprintHosts(t *testing.T, hosts []Host) [][]byte {
 	t.Helper()
 	out := make([][]byte, 0, len(hosts))
-	probe := cfg.Start.AddDate(0, 0, cfg.GrowthDays+30)
 	for _, h := range hosts {
 		var der []byte
 		switch v := h.(type) {
 		case *Device:
-			der = append([]byte{'d'}, v.cert.Raw...)
+			der = append([]byte{'d'}, v.CurrentCert().Raw...)
 			der = append(der, v.Birth.AppendFormat(nil, time.RFC3339)...)
 		case *Site:
-			der = append([]byte{'s'}, v.Birth.AppendFormat(nil, time.RFC3339)...)
+			der = append([]byte{'s'}, v.CurrentCert().Raw...)
+			der = append(der, v.Birth.AppendFormat(nil, time.RFC3339)...)
 		default:
 			t.Fatalf("unexpected host type %T", h)
 		}
-		_ = probe
 		out = append(out, der)
 	}
 	return out
@@ -45,7 +44,7 @@ func TestGeneratorBatchSizeInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprintHosts(t, ref.Hosts(), cfg)
+	want := fingerprintHosts(t, ref.Hosts())
 
 	for _, batch := range []int{1, 7, 100, 1 << 20} {
 		gen, err := NewGenerator(cfg)
@@ -69,7 +68,7 @@ func TestGeneratorBatchSizeInvariant(t *testing.T) {
 		if gen.Remaining() != 0 {
 			t.Fatalf("batch %d: %d hosts remaining after drain", batch, gen.Remaining())
 		}
-		got := fingerprintHosts(t, hosts, cfg)
+		got := fingerprintHosts(t, hosts)
 		if len(got) != len(want) {
 			t.Fatalf("batch %d: %d hosts, want %d", batch, len(got), len(want))
 		}
@@ -103,7 +102,7 @@ func TestGeneratorFleetSharingAcrossBatches(t *testing.T) {
 	for _, d := range devices {
 		if d.fleetCert != nil {
 			shared++
-			if d.cert != d.fleetCert {
+			if d.cert != d.fleetCert || d.CurrentCert() != d.fleetCert.get() {
 				t.Fatal("fleet member serving a cert that is not the leader's")
 			}
 		}

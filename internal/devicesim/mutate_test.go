@@ -18,7 +18,7 @@ func TestMutatedWorldChunkInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprintHosts(t, ref.Hosts(), cfg)
+	want := fingerprintHosts(t, ref.Hosts())
 
 	for _, batch := range []int{1, 64, 1 << 20} {
 		gen, err := NewGenerator(cfg)
@@ -33,7 +33,7 @@ func TestMutatedWorldChunkInvariant(t *testing.T) {
 			}
 			hosts = append(hosts, b...)
 		}
-		got := fingerprintHosts(t, hosts, cfg)
+		got := fingerprintHosts(t, hosts)
 		if len(got) != len(want) {
 			t.Fatalf("batch %d: %d hosts, want %d", batch, len(got), len(want))
 		}

@@ -5,8 +5,6 @@ import (
 	"math/big"
 	"time"
 
-	"crypto/ed25519"
-
 	"securepki/internal/netsim"
 	"securepki/internal/stats"
 	"securepki/internal/x509lite"
@@ -30,9 +28,8 @@ type Site struct {
 	ca  *CA
 	ips []netsim.IP
 
-	key  ed25519.PrivateKey
-	pub  ed25519.PublicKey
-	cert *x509lite.Certificate
+	key  *lazyKey
+	cert *lazyCert // signed on first observation (see lazy.go)
 
 	now         time.Time
 	nextReissue time.Time
@@ -93,7 +90,7 @@ func (w *World) newSite(id int, birth time.Time, r *stats.RNG) *Site {
 		s.ips = append(s.ips, as.RandomIP(r))
 	}
 
-	s.pub, s.key = keyFromRNG(r)
+	s.key = keyFromRNG(r)
 	s.reissue(birth)
 	return s
 }
@@ -103,15 +100,18 @@ func (s *Site) AliveAt(t time.Time) bool {
 	return !t.Before(s.Birth) && t.Before(s.Death)
 }
 
-// CurrentCert returns the site's current leaf certificate.
-func (s *Site) CurrentCert() *x509lite.Certificate { return s.cert }
+// CurrentCert returns the site's current leaf certificate, signing it if no
+// caller has observed it yet.
+func (s *Site) CurrentCert() *x509lite.Certificate { return s.cert.get() }
 
 // CA returns the site's issuing CA.
 func (s *Site) CA() *CA { return s.ca }
 
+// reissue builds the site's next certificate template as of time at and
+// schedules the one after; signing waits for the first observer (lazyCert).
 func (s *Site) reissue(at time.Time) {
 	if !s.rng.Bool(siteKeyReuseProb) {
-		s.pub, s.key = keyFromRNG(s.rng)
+		s.key = keyFromRNG(s.rng)
 	}
 	days := pickValidity(siteValidity, s.rng)
 	notBefore := at.Truncate(time.Hour)
@@ -129,7 +129,7 @@ func (s *Site) reissue(at time.Time) {
 		IssuingCertificateURL: []string{"http://aia.ca.example/ca.der"},
 		PolicyOIDs:            [][]int{{2, 23, 140, 1, 2, 1}},
 	}
-	s.cert = mustCreate(tmpl, s.pub, s.ca.Key)
+	s.cert = s.world.newLazyCert(tmpl, s.key, s.ca.Key, -1) // sites are never mutated
 	// Reissue shortly before expiry, with operator jitter.
 	s.nextReissue = notBefore.AddDate(0, 0, days-7-s.rng.Intn(30))
 	if !s.nextReissue.After(at) {
@@ -158,7 +158,7 @@ func (s *Site) Appearances(start, end time.Time, _ *stats.RNG) []Appearance {
 		return nil
 	}
 	s.AdvanceTo(start)
-	chain := []*x509lite.Certificate{s.cert, s.ca.Cert}
+	chain := []*x509lite.Certificate{s.cert.get(), s.ca.Cert}
 	apps := make([]Appearance, 0, len(s.ips))
 	for _, ip := range s.ips {
 		apps = append(apps, Appearance{IP: ip, Chain: chain})

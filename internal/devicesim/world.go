@@ -80,8 +80,9 @@ type World struct {
 	profileEpochs map[string]time.Time
 	vendorCAKeys  map[string]ed25519.PrivateKey
 	vendorCerts   map[string]*x509lite.Certificate
-	sharedKeys    map[string]keyPair
+	sharedKeys    map[string]*lazyKey
 	mutator       *certmutate.Mutator // nil unless Config.MutateFrac > 0
+	work          workCounters
 
 	// Transfers lists the prefix bulk-transfer events wired into the
 	// Internet (§7.3 ground truth).
@@ -94,11 +95,6 @@ type TransferEvent struct {
 	From   int
 	To     int
 	At     time.Time
-}
-
-type keyPair struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
 }
 
 // Roots returns the trusted roots (the simulation's OS root store).
@@ -124,12 +120,12 @@ func (w *World) vendorCAKey(p *Profile) ed25519.PrivateKey {
 	return key
 }
 
-func (w *World) sharedDeviceKey(p *Profile) (ed25519.PublicKey, ed25519.PrivateKey) {
-	kp, ok := w.sharedKeys[p.Name]
+func (w *World) sharedDeviceKey(p *Profile) *lazyKey {
+	k, ok := w.sharedKeys[p.Name]
 	if !ok {
 		panic(fmt.Sprintf("devicesim: no shared device key for profile %s", p.Name))
 	}
-	return kp.pub, kp.priv
+	return k
 }
 
 // BuildWorld constructs the full simulation deterministically from cfg. It
@@ -178,7 +174,8 @@ func buildProfilePicker(profiles []*Profile) *stats.WeightedPicker[*Profile] {
 // ExtractDeviceKey hands over a device's current private key — the
 // simulation equivalent of dumping it from firmware. It exists for the
 // impersonation example (§5.2's shared-key attack) and for tests; the
-// measurement pipeline never touches private keys.
+// measurement pipeline never touches private keys. Like CurrentCert, it
+// derives the key if nothing has needed it yet.
 func (w *World) ExtractDeviceKey(d *Device) ed25519.PrivateKey {
-	return d.key
+	return d.key.private(&w.work.keysDerived)
 }
